@@ -1,7 +1,6 @@
 #include "graph/paths.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <queue>
@@ -25,12 +24,23 @@ AdjacencyList build_adjacency(
 }
 
 std::vector<double> dijkstra(const AdjacencyList& adj, NodeId src) {
-  const auto n = adj.size();
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  std::vector<double> dist(adj.size(), std::numeric_limits<double>::infinity());
   dist.at(static_cast<std::size_t>(src)) = 0.0;
-  heap.emplace(0.0, src);
+  return dijkstra_from_seeds(adj, std::move(dist));
+}
+
+std::vector<double> dijkstra_from_seeds(const AdjacencyList& adj,
+                                        std::vector<double> dist) {
+  require(dist.size() == adj.size(), "dijkstra_from_seeds: one seed per node");
+  using Item = std::pair<double, NodeId>;
+  std::vector<Item> start;
+  for (NodeId v = 0; v < static_cast<NodeId>(dist.size()); ++v) {
+    if (dist[static_cast<std::size_t>(v)] < kTimeInf) {
+      start.emplace_back(dist[static_cast<std::size_t>(v)], v);
+    }
+  }
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap(std::greater<>{},
+                                                                     std::move(start));
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
@@ -63,42 +73,54 @@ std::vector<int> bfs_hops(const AdjacencyList& adj, NodeId src) {
   return dist;
 }
 
-namespace {
-
-NodeId farthest_node(const std::vector<double>& dist) {
-  NodeId best = 0;
-  for (NodeId v = 1; v < static_cast<NodeId>(dist.size()); ++v) {
-    if (dist[static_cast<std::size_t>(v)] > dist[static_cast<std::size_t>(best)]) {
-      best = v;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 double weighted_diameter(const AdjacencyList& adj) {
-  if (adj.size() <= 1) return 0.0;
-  std::size_t degree_sum = 0;
-  for (const auto& nbrs : adj) degree_sum += nbrs.size();
-  if (degree_sum == 2 * (adj.size() - 1)) {
-    // n-1 undirected edges: connected => tree (disconnected shows up as +inf
-    // below either way). On a tree the classic double sweep finds the exact
-    // diameter with two Dijkstras instead of n: the farthest node from any
-    // start is a diameter endpoint. This keeps large-scenario construction
-    // (suggest_gtilde on line/tree topologies) out of O(n^2 log n).
-    const auto from_start = dijkstra(adj, 0);
-    const NodeId a = farthest_node(from_start);
-    if (!std::isfinite(from_start[static_cast<std::size_t>(a)])) {
-      return kTimeInf;
+  // Takes–Kosters eccentricity bounding. Every Dijkstra from a source s
+  // bounds each other node's eccentricity by the triangle inequality:
+  // max(d, ecc(s) − d) <= ecc(w) <= ecc(s) + d with d = d(s, w). A node
+  // leaves the candidate set once its upper bound is below the largest
+  // eccentricity found so far by a relative slack far above the rounding
+  // error of a path sum, so every node whose computed eccentricity could
+  // tie the maximum still gets its own Dijkstra and the result is the
+  // bit-identical all-pairs maximum.
+  constexpr double kSlack = 1e-9;
+  const auto n = adj.size();
+  if (n <= 1) return 0.0;
+  std::vector<double> lower(n, 0.0);
+  std::vector<double> upper(n, kTimeInf);
+  std::vector<NodeId> candidates(n);
+  for (std::size_t v = 0; v < n; ++v) candidates[v] = static_cast<NodeId>(v);
+  // Alternate between the candidate that may lie farthest out and the most
+  // central one, whose small eccentricity tightens upper bounds. Ties go to
+  // the higher degree (a hub tightens more bounds; the first source is the
+  // highest-degree node), then to the lower id.
+  bool widest_next = true;
+  const auto degree = [&adj](NodeId v) { return adj[static_cast<std::size_t>(v)].size(); };
+  const auto better = [&](NodeId a, NodeId b) {
+    const auto ia = static_cast<std::size_t>(a);
+    const auto ib = static_cast<std::size_t>(b);
+    if (widest_next ? upper[ia] != upper[ib] : lower[ia] != lower[ib]) {
+      return widest_next ? upper[ia] > upper[ib] : lower[ia] < lower[ib];
     }
-    const auto from_a = dijkstra(adj, a);
-    return from_a[static_cast<std::size_t>(farthest_node(from_a))];
-  }
+    return degree(a) != degree(b) ? degree(a) > degree(b) : a < b;
+  };
   double diameter = 0.0;
-  for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {
-    const auto dist = dijkstra(adj, u);
-    for (double d : dist) diameter = std::max(diameter, d);
+  while (!candidates.empty()) {
+    const NodeId source = *std::min_element(candidates.begin(), candidates.end(), better);
+    widest_next = !widest_next;
+    const auto dist = dijkstra(adj, source);
+    const double ecc = *std::max_element(dist.begin(), dist.end());
+    if (ecc == kTimeInf) return kTimeInf;
+    diameter = std::max(diameter, ecc);
+    const double cutoff = diameter * (1.0 - kSlack);
+    std::size_t kept = 0;
+    for (const NodeId w : candidates) {
+      if (w == source) continue;
+      const auto i = static_cast<std::size_t>(w);
+      lower[i] = std::max({lower[i], dist[i], ecc - dist[i]});
+      upper[i] = std::min(upper[i], ecc + dist[i]);
+      if (upper[i] >= cutoff) candidates[kept++] = w;
+    }
+    candidates.resize(kept);
   }
   return diameter;
 }

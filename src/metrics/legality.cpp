@@ -26,27 +26,21 @@ std::vector<EdgeKey> level_edge_set(Engine& engine, int s) {
 
 std::vector<double> compute_psi(Engine& engine, int s) {
   const int n = engine.size();
-  const auto edges = level_edge_set(engine, s);
+  const double factor = static_cast<double>(s) + 0.5;
   // Weight by the algorithm's *current* κ: time-varying under weight-decay
   // insertion, equal to the derived constant otherwise.
-  const AdjacencyList adj = build_adjacency(
-      n, edges, [&engine](const EdgeKey& e) { return live_kappa(engine, e); });
-  std::vector<double> logical(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) logical[static_cast<std::size_t>(u)] = engine.logical(u);
-
-  std::vector<double> psi(static_cast<std::size_t>(n), 0.0);
-  const double factor = static_cast<double>(s) + 0.5;
-  for (NodeId u = 0; u < n; ++u) {
-    const auto dist = dijkstra(adj, u);
-    double best = 0.0;  // trivial path (u)
-    for (NodeId v = 0; v < n; ++v) {
-      const double d = dist[static_cast<std::size_t>(v)];
-      if (!std::isfinite(d)) continue;
-      best = std::max(best, logical[static_cast<std::size_t>(v)] -
-                                logical[static_cast<std::size_t>(u)] - factor * d);
-    }
-    psi[static_cast<std::size_t>(u)] = best;
-  }
+  const AdjacencyList adj =
+      build_adjacency(n, level_edge_set(engine, s), [&engine, factor](const EdgeKey& e) {
+        return factor * live_kappa(engine, e);
+      });
+  // h(u) = min_v {(s+½)·d^s_κ(u,v) − L_v}: one Dijkstra seeded with −L_v at
+  // every node. Then Ψ^s_u = −L_u − h(u), which is >= 0 because u seeds
+  // itself (the trivial path).
+  std::vector<double> seeds(static_cast<std::size_t>(n));
+  for (NodeId u = 0; u < n; ++u) seeds[static_cast<std::size_t>(u)] = -engine.logical(u);
+  const std::vector<double> h = dijkstra_from_seeds(adj, seeds);
+  std::vector<double> psi(static_cast<std::size_t>(n));
+  for (std::size_t u = 0; u < psi.size(); ++u) psi[u] = seeds[u] - h[u];
   return psi;
 }
 

@@ -3,7 +3,9 @@
 // Ψ^s_u(t) = max over level-s paths p=(u,...,v) of {L_v − L_u − (s+½)κ_p}.
 // Because the κ-cost is additive along the path and the profit depends only
 // on the endpoint, Ψ^s_u = max_v {L_v − L_u − (s+½)·d^s_κ(u,v)} where d^s_κ
-// is the min-κ-weight over level-s paths — one Dijkstra per (u, s).
+// is the min-κ-weight over level-s paths. With h(u) = min_v {(s+½)·d^s_κ(u,v)
+// − L_v}, Ψ^s_u = −L_u − h(u), and h comes from one multi-source Dijkstra per
+// level seeded with −L_v at every node: O(m log n) per level, not per node.
 // The trivial path (u) is a level-s path, so Ψ^s_u >= 0 always.
 //
 // The system is (C,s)-legal at u iff Ψ^s_u < C_s/2; we use the stabilized

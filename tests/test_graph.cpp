@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 
+#include "fingerprint_common.h"
 #include "graph/adversary.h"
 #include "graph/dynamic_graph.h"
 #include "graph/paths.h"
@@ -196,6 +199,113 @@ TEST(Paths, UnreachableIsInfinite) {
 TEST(Paths, WeightedDiameterOfRing) {
   const auto adj = build_adjacency(6, topo_ring(6), [](const EdgeKey&) { return 1.0; });
   EXPECT_DOUBLE_EQ(weighted_diameter(adj), 3.0);
+}
+
+// The all-pairs loop weighted_diameter() replaced: the oracle its
+// eccentricity bounding must match bit for bit.
+double diameter_bruteforce(const AdjacencyList& adj) {
+  double diameter = 0.0;
+  for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {
+    for (const double d : dijkstra(adj, u)) diameter = std::max(diameter, d);
+  }
+  return diameter;
+}
+
+AdjacencyList unit_weights(int n, const std::vector<EdgeKey>& edges) {
+  return build_adjacency(n, edges, [](const EdgeKey&) { return 1.0; });
+}
+
+AdjacencyList random_weights(int n, const std::vector<EdgeKey>& edges,
+                             std::uint64_t seed) {
+  Rng rng(seed);
+  std::map<EdgeKey, double> weight;
+  for (const EdgeKey& e : edges) weight[e] = rng.uniform(0.5, 1.5);
+  return build_adjacency(n, edges, [&weight](const EdgeKey& e) { return weight.at(e); });
+}
+
+void expect_oracle_diameter(const AdjacencyList& adj, const std::string& what) {
+  const double oracle = diameter_bruteforce(adj);
+  ASSERT_TRUE(std::isfinite(oracle)) << what;
+  EXPECT_EQ(weighted_diameter(adj), oracle) << what;
+}
+
+TEST(WeightedDiameter, MatchesAllPairsOnGrids) {
+  for (const int side : {32, 64}) {
+    const int n = side * side;
+    const auto edges = topo_grid(side, side);
+    expect_oracle_diameter(unit_weights(n, edges), "unit grid " + std::to_string(side));
+    expect_oracle_diameter(random_weights(n, edges, 7 + static_cast<std::uint64_t>(side)),
+                           "random-weight grid " + std::to_string(side));
+  }
+}
+
+TEST(WeightedDiameter, MatchesAllPairsOnVertexTransitiveGraphs) {
+  // Every node has the same eccentricity, so no bound ever prunes and the
+  // loop evaluates all n nodes.
+  expect_oracle_diameter(unit_weights(64, topo_ring(64)), "ring 64");
+  expect_oracle_diameter(unit_weights(63, topo_ring(63)), "ring 63");
+  expect_oracle_diameter(unit_weights(256, topo_torus(16, 16)), "torus 16x16");
+  expect_oracle_diameter(random_weights(64, topo_ring(64), 3), "random-weight ring");
+}
+
+TEST(WeightedDiameter, MatchesAllPairsOnLinesStarsAndTrees) {
+  expect_oracle_diameter(unit_weights(100, topo_line(100)), "unit line");
+  expect_oracle_diameter(random_weights(100, topo_line(100), 11), "random-weight line");
+  expect_oracle_diameter(unit_weights(50, topo_star(50)), "unit star");
+  expect_oracle_diameter(random_weights(50, topo_star(50), 13), "random-weight star");
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    const auto edges = topo_random_tree(300, rng);
+    expect_oracle_diameter(unit_weights(300, edges), "unit tree " + std::to_string(seed));
+    expect_oracle_diameter(random_weights(300, edges, seed * 31),
+                           "random-weight tree " + std::to_string(seed));
+  }
+}
+
+TEST(WeightedDiameter, MatchesAllPairsOnRandomGeometricGraphs) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    std::vector<Point2> pos;
+    const auto edges = topo_random_geometric(300, 0.1, rng, &pos);
+    const auto euclid = build_adjacency(300, edges, [&pos](const EdgeKey& e) {
+      const Point2& a = pos[static_cast<std::size_t>(e.a)];
+      const Point2& b = pos[static_cast<std::size_t>(e.b)];
+      return std::hypot(a.x - b.x, a.y - b.y);
+    });
+    expect_oracle_diameter(euclid, "euclidean geometric " + std::to_string(seed));
+    expect_oracle_diameter(unit_weights(300, edges), "unit geometric " + std::to_string(seed));
+  }
+}
+
+TEST(WeightedDiameter, InfiniteWhenDisconnected) {
+  // Two 8x8 grids side by side: the first sweep cannot cross.
+  auto edges = topo_grid(8, 8);
+  for (const EdgeKey& e : topo_grid(8, 8)) edges.emplace_back(e.a + 64, e.b + 64);
+  EXPECT_TRUE(std::isinf(weighted_diameter(unit_weights(128, edges))));
+  EXPECT_TRUE(std::isinf(diameter_bruteforce(unit_weights(128, edges))));
+  // An isolated node that the first sweep (from a hub) cannot reach.
+  EXPECT_TRUE(std::isinf(weighted_diameter(unit_weights(51, topo_star(50)))));
+}
+
+TEST(WeightedDiameter, TinyGraphs) {
+  EXPECT_EQ(weighted_diameter(AdjacencyList{}), 0.0);
+  EXPECT_EQ(weighted_diameter(AdjacencyList(1)), 0.0);
+  EXPECT_TRUE(std::isinf(weighted_diameter(AdjacencyList(2))));
+  const auto pair = build_adjacency(2, {EdgeKey(0, 1)}, [](const EdgeKey&) { return 2.5; });
+  EXPECT_EQ(weighted_diameter(pair), 2.5);
+  EXPECT_EQ(diameter_bruteforce(pair), 2.5);
+}
+
+TEST(WeightedDiameter, SuggestGtildeMatchesOracleOnFingerprintTopologies) {
+  for (const fptable::Case& c : fptable::catalog()) {
+    const TopologyResult topo = materialize_topology(c.spec);
+    const double kappa = c.spec.aopt.edge_constants(c.spec.edge_params).kappa;
+    const double oracle = diameter_bruteforce(
+        build_adjacency(topo.n, topo.edges, [kappa](const EdgeKey&) { return kappa; }));
+    EXPECT_EQ(suggest_gtilde(topo.n, topo.edges, c.spec.edge_params, c.spec.aopt),
+              std::max(1.0, 1.5 * oracle + 4.0 * kappa))
+        << c.name;
+  }
 }
 
 TEST(ScriptedAdversaryTest, ReplaysEvents) {

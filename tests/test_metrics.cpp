@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "graph/topology.h"
 #include "metrics/diameter.h"
 #include "metrics/legality.h"
 #include "metrics/recorder.h"
@@ -176,6 +178,137 @@ TEST(Legality, DetectsIllegalConfiguration) {
   const auto report = check_legality(s.engine(), s.spec().aopt.gtilde_static);
   EXPECT_FALSE(report.legal());
   EXPECT_GT(report.worst_margin, 0.0);
+}
+
+// The per-node Dijkstra compute_psi() replaced: Ψ^s_u straight from
+// max_v {L_v − L_u − (s+½)·d^s_κ(u,v)}, one shortest-path tree per node.
+std::vector<double> psi_per_node(Engine& engine, int s) {
+  const int n = engine.size();
+  const AdjacencyList adj = build_adjacency(
+      n, level_edge_set(engine, s), [&engine](const EdgeKey& e) { return live_kappa(engine, e); });
+  std::vector<double> logical(static_cast<std::size_t>(n));
+  for (NodeId u = 0; u < n; ++u) logical[static_cast<std::size_t>(u)] = engine.logical(u);
+  std::vector<double> psi(static_cast<std::size_t>(n), 0.0);
+  const double factor = static_cast<double>(s) + 0.5;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto dist = dijkstra(adj, u);
+    double best = 0.0;  // trivial path (u)
+    for (NodeId v = 0; v < n; ++v) {
+      const double d = dist[static_cast<std::size_t>(v)];
+      if (!std::isfinite(d)) continue;
+      best = std::max(best, logical[static_cast<std::size_t>(v)] -
+                                logical[static_cast<std::size_t>(u)] - factor * d);
+    }
+    psi[static_cast<std::size_t>(u)] = best;
+  }
+  return psi;
+}
+
+/// check_legality's level loop over psi_per_node.
+LegalityReport legality_per_node(Engine& engine, double ghat) {
+  double kappa_min = kTimeInf;
+  for (const EdgeKey& e : engine.graph().known_edges()) {
+    if (engine.graph().both_views_present(e)) {
+      kappa_min = std::min(kappa_min, metric_kappa(engine, e));
+    }
+  }
+  LegalityReport report;
+  if (kappa_min == kTimeInf) return report;
+  for (int s = 1; s <= 32; ++s) {
+    LevelLegality level;
+    level.level = s;
+    level.c_s = gradient_sequence_value(ghat, engine.params().sigma(), s);
+    const auto psi = psi_per_node(engine, s);
+    for (NodeId u = 0; u < engine.size(); ++u) {
+      if (psi[static_cast<std::size_t>(u)] > level.worst_psi) {
+        level.worst_psi = psi[static_cast<std::size_t>(u)];
+        level.worst_node = u;
+      }
+    }
+    level.margin = level.worst_psi - level.c_s / 2.0;
+    if (level.margin > report.worst_margin) {
+      report.worst_margin = level.margin;
+      report.worst_level = s;
+      report.worst_node = level.worst_node;
+    }
+    report.levels.push_back(level);
+    if (level.c_s < kappa_min / 4.0) break;
+  }
+  return report;
+}
+
+void expect_psi_matches_per_node(Engine& engine, int s, const std::string& where) {
+  double scale = 1.0;
+  for (NodeId u = 0; u < engine.size(); ++u) scale = std::max(scale, std::abs(engine.logical(u)));
+  const auto psi = compute_psi(engine, s);
+  const auto oracle = psi_per_node(engine, s);
+  ASSERT_EQ(psi.size(), oracle.size());
+  for (std::size_t u = 0; u < psi.size(); ++u) {
+    EXPECT_NEAR(psi[u], oracle[u], 1e-9 * scale) << where << " level " << s << " node " << u;
+  }
+}
+
+void expect_report_matches_per_node(Engine& engine, double ghat, const std::string& where) {
+  const LegalityReport report = check_legality(engine, ghat);
+  const LegalityReport oracle = legality_per_node(engine, ghat);
+  ASSERT_EQ(report.levels.size(), oracle.levels.size()) << where;
+  for (std::size_t i = 0; i < report.levels.size(); ++i) {
+    EXPECT_EQ(report.levels[i].worst_node, oracle.levels[i].worst_node) << where << " level " << i + 1;
+  }
+  EXPECT_EQ(report.worst_level, oracle.worst_level) << where;
+  EXPECT_EQ(report.worst_node, oracle.worst_node) << where;
+  EXPECT_EQ(report.legal(), oracle.legal()) << where;
+}
+
+TEST(Legality, MultiSourcePsiMatchesPerNodeDijkstraUnderChurn) {
+  // Churn without connectivity repair: fresh edges sit below the deep
+  // levels and removals split the graph, so level-s edge sets fall apart.
+  // After each checkpoint the clocks are scattered by up to `spread` κ, so
+  // Ψ is positive along multi-hop paths and the run continues from there.
+  int disconnected_levels = 0;
+  const std::vector<std::pair<std::string, std::vector<EdgeKey>>> topologies{
+      {"ring", topo_ring(24)}, {"grid", topo_grid(4, 6)}};
+  for (const auto& [name, edges] : topologies) {
+    for (const std::uint64_t seed : {3ULL, 4ULL}) {
+      ScenarioSpec cfg = small_config(24, edges);
+      cfg.seed = seed;
+      cfg.adversary = ComponentSpec::parse("churn:rate=0.8,start=2,keep_connected=false");
+      Scenario s(cfg);
+      s.start();
+      const double kappa = metric_kappa(s.engine(), edges.front());
+      Rng rng(seed);
+      for (const double spread : {0.5, 2.0, 8.0, 32.0}) {
+        s.run_until(s.sim().now() + 10.0);
+        for (NodeId u = 0; u < 24; ++u) {
+          s.engine().corrupt_logical(u, s.engine().logical(u) + rng.uniform(0.0, spread * kappa));
+        }
+        const std::string where = name + " seed " + std::to_string(seed) + " spread " +
+                                  std::to_string(spread);
+        for (int level = 1; level <= 4; ++level) {
+          if (hop_diameter(24, level_edge_set(s.engine(), level)) < 0) ++disconnected_levels;
+          expect_psi_matches_per_node(s.engine(), level, where);
+        }
+        expect_report_matches_per_node(s.engine(), cfg.aopt.gtilde_static, where);
+      }
+    }
+  }
+  EXPECT_GT(disconnected_levels, 0);
+}
+
+TEST(Legality, DetectsOneCorruptedNodeOnLargeGrid) {
+  constexpr int kSide = 64;
+  Scenario s(small_config(kSide * kSide, topo_grid(kSide, kSide)));
+  s.start();
+  s.run_until(5.0);
+  const double ghat = s.spec().aopt.gtilde_static;
+  ASSERT_TRUE(check_legality(s.engine(), ghat).legal());
+  const NodeId hoisted = (kSide / 2) * kSide + kSide / 2;
+  s.engine().corrupt_logical(hoisted, s.engine().logical(hoisted) + 50.0);
+  const auto report = check_legality(s.engine(), ghat);
+  EXPECT_FALSE(report.legal());
+  // Ψ peaks next to the hoisted node: one κ-hop away from the profit.
+  const int offset = std::abs(report.worst_node - hoisted);
+  EXPECT_TRUE(offset == 1 || offset == kSide) << "worst node " << report.worst_node;
 }
 
 TEST(DiameterEstimate, ScalesWithHopCount) {
