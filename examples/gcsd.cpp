@@ -279,8 +279,10 @@ int main(int argc, char** argv) {
   std::cout << "gcsd node " << self << ": ran to model t=" << horizon
             << " (" << samples.size() << " samples), frames out "
             << node.egress_count() << ", in " << node.ingress_count()
-            << ", rejected " << node.rejected_count() << ", wire-rejected "
-            << net->rejected() << ", restarts " << node.restarts();
+            << ", rejected " << node.rejected_count() << ", chaos-dropped "
+            << net->chaos_dropped() << ", corrupted " << net->corrupted()
+            << ", wire-rejected " << net->rejected() << ", restarts "
+            << node.restarts();
   if (udp) {
     std::cout << ", send errors " << udp->send_errors();
   } else {

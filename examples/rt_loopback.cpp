@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
     std::uint64_t sent = 0, dropped = 0, errors = 0;
     for (NodeId u = 0; u < cluster.size(); ++u) {
       sent += cluster.udp(u).sent();
-      dropped += cluster.udp(u).dropped();
+      dropped += cluster.udp(u).chaos_dropped();
       errors += cluster.udp(u).send_errors();
     }
     std::cout << "udp: sent " << sent << ", chaos-dropped " << dropped
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
                   resets = 0, reconnects = 0;
     for (NodeId u = 0; u < cluster.size(); ++u) {
       sent += cluster.tcp(u).sent();
-      dropped += cluster.tcp(u).dropped();
+      dropped += cluster.tcp(u).chaos_dropped();
       backpressure += cluster.tcp(u).backpressure();
       conn_down += cluster.tcp(u).conn_down();
       resets += cluster.tcp(u).resets();

@@ -35,17 +35,20 @@ RtCluster::RtCluster(const ScenarioSpec& spec, TimeSource& clock,
   edges_ = std::move(topo.edges);
   if (backend_ == RtBackend::kPipe) {
     hub_ = std::make_unique<PipeHub>(topo.n, clock, faults, ring_capacity);
+    transports_.push_back(hub_.get());
   } else if (backend_ == RtBackend::kUdp) {
     udp_.reserve(static_cast<std::size_t>(topo.n));
     for (NodeId u = 0; u < topo.n; ++u) {
       udp_.push_back(std::make_unique<UdpTransport>(topo.n, u, base_port,
                                                     &clock, faults.seed));
+      transports_.push_back(udp_.back().get());
     }
   } else {
     tcp_.reserve(static_cast<std::size_t>(topo.n));
     for (NodeId u = 0; u < topo.n; ++u) {
       tcp_.push_back(std::make_unique<TcpTransport>(topo.n, u, base_port,
                                                     clock, faults.seed));
+      transports_.push_back(tcp_.back().get());
     }
   }
   nodes_.reserve(static_cast<std::size_t>(topo.n));
@@ -56,9 +59,7 @@ RtCluster::RtCluster(const ScenarioSpec& spec, TimeSource& clock,
 }
 
 RtTransport& RtCluster::transport_of(NodeId u) {
-  if (backend_ == RtBackend::kPipe) return *hub_;
-  if (backend_ == RtBackend::kUdp) return *udp_[static_cast<std::size_t>(u)];
-  return *tcp_[static_cast<std::size_t>(u)];
+  return *transports_[hub_ ? 0 : static_cast<std::size_t>(u)];
 }
 
 void RtCluster::enable_detector(const DetectorConfig& config) {
@@ -87,13 +88,9 @@ void RtCluster::chaos_restart(NodeId u) {
 }
 
 void RtCluster::chaos_link(NodeId from, NodeId to, const LinkFault& f) {
-  if (backend_ == RtBackend::kPipe) {
-    hub_->set_link_fault(from, to, f);
-  } else {
-    // Only the sender's transport owns the outbound slot; the scheduler
-    // calls this once per direction, so forwarding to the owner suffices.
-    transport_of(from).set_link_fault(from, to, f);
-  }
+  // The sender's transport owns the outbound slot (the hub owns them all);
+  // the scheduler calls this once per direction.
+  transport_of(from).set_link_fault(from, to, f);
 }
 
 void RtCluster::chaos_conn_reset(NodeId a, NodeId b) {
@@ -106,37 +103,15 @@ void RtCluster::chaos_conn_reset(NodeId a, NodeId b) {
 }
 
 std::uint64_t RtCluster::total_corrupted() const {
-  switch (backend_) {
-    case RtBackend::kPipe: return hub_->corrupted();
-    case RtBackend::kUdp: {
-      std::uint64_t sum = 0;
-      for (const auto& t : udp_) sum += t->corrupted();
-      return sum;
-    }
-    case RtBackend::kTcp: {
-      std::uint64_t sum = 0;
-      for (const auto& t : tcp_) sum += t->corrupted();
-      return sum;
-    }
-  }
-  return 0;
+  std::uint64_t sum = 0;
+  for (const RtTransport* t : transports_) sum += t->corrupted();
+  return sum;
 }
 
 std::uint64_t RtCluster::total_rejected() const {
-  switch (backend_) {
-    case RtBackend::kPipe: return hub_->rejected();
-    case RtBackend::kUdp: {
-      std::uint64_t sum = 0;
-      for (const auto& t : udp_) sum += t->rejected();
-      return sum;
-    }
-    case RtBackend::kTcp: {
-      std::uint64_t sum = 0;
-      for (const auto& t : tcp_) sum += t->rejected();
-      return sum;
-    }
-  }
-  return 0;
+  std::uint64_t sum = 0;
+  for (const RtTransport* t : transports_) sum += t->rejected();
+  return sum;
 }
 
 void RtCluster::schedule_samples(Time horizon, Duration period) {

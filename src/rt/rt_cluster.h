@@ -119,9 +119,8 @@ class RtCluster final : public ChaosTarget {
     return *tcp_[static_cast<std::size_t>(u)];
   }
   [[nodiscard]] RtBackend backend() const { return backend_; }
-  /// Cluster-wide transport integrity counters (summed over per-node
-  /// transports on the socket backends): chaos-injected bit flips and
-  /// rejected ingress frames. With corruption chaos armed, CI asserts the
+  /// Cluster-wide transport integrity counters (summed over the distinct
+  /// transports): chaos-injected bit flips and rejected ingress frames. With corruption chaos armed, CI asserts the
   /// two agree — every flip caught, none delivered.
   [[nodiscard]] std::uint64_t total_corrupted() const;
   [[nodiscard]] std::uint64_t total_rejected() const;
@@ -170,6 +169,7 @@ class RtCluster final : public ChaosTarget {
   std::unique_ptr<PipeHub> hub_;                          ///< kPipe
   std::vector<std::unique_ptr<UdpTransport>> udp_;        ///< kUdp, per node
   std::vector<std::unique_ptr<TcpTransport>> tcp_;        ///< kTcp, per node
+  std::vector<RtTransport*> transports_;  ///< the distinct transports above
   std::vector<std::unique_ptr<RtNode>> nodes_;
   std::vector<EdgeKey> edges_;
   std::vector<std::vector<RtSample>> samples_;  ///< [node][grid index]

@@ -11,35 +11,6 @@
 
 namespace gcs {
 
-namespace {
-
-/// The chaos corruption decision for one send, derived from ONE u64 draw of
-/// the per-link corruption stream. The top 53 bits decide whether to flip
-/// (uniform in [0,1) against the armed probability); the low bits pick the
-/// bit to flip once the frame length is known. Shared by every backend so
-/// "corrupt 0.5" means the same thing over pipes, UDP and TCP.
-struct CorruptDraw {
-  std::uint64_t raw = 0;
-  [[nodiscard]] bool hit(float probability) const {
-    if (probability <= 0.0f) return false;
-    const double u = static_cast<double>(raw >> 11) * 0x1.0p-53;
-    return u < static_cast<double>(probability);
-  }
-  /// Bit index within [first_byte, len) of an encoded frame.
-  [[nodiscard]] std::size_t bit(std::size_t first_byte, std::size_t len) const {
-    const std::size_t nbits = (len - first_byte) * 8;
-    return first_byte * 8 + static_cast<std::size_t>(raw % nbits);
-  }
-};
-
-/// Flip one bit past the length prefix of an encoded frame.
-void flip_frame_bit(std::uint8_t* frame, std::size_t len, const CorruptDraw& d) {
-  const std::size_t bit = d.bit(/*first_byte=*/2, len);
-  frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-}
-
-}  // namespace
-
 // -------------------------------------------------------------------- pipe
 
 PipeHub::PipeHub(int n, TimeSource& clock, const FaultSpec& faults,
@@ -49,27 +20,37 @@ PipeHub::PipeHub(int n, TimeSource& clock, const FaultSpec& faults,
   const std::size_t nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   rings_.reserve(nn);
   rngs_.reserve(nn);
-  chaos_rngs_.reserve(nn);
   Rng root(faults.seed ^ 0x9d1eULL);
-  Rng chaos_root(faults.seed ^ 0xc4a05ULL);
-  Rng corrupt_root(faults.seed ^ 0xf11bULL);
-  corrupt_rngs_.reserve(nn);
   for (std::size_t i = 0; i < nn; ++i) {
     rings_.push_back(std::make_unique<SpscRing<WireMsg>>(ring_capacity));
     rngs_.push_back(root.fork(i));
-    chaos_rngs_.push_back(chaos_root.fork(i));
-    corrupt_rngs_.push_back(corrupt_root.fork(i));
   }
-  link_faults_ = std::make_unique<std::atomic<std::uint64_t>[]>(nn);
+  // One shared pair of roots, senders in order: the per-link chaos streams
+  // are forked from it n² times in link order (see rt/link_chaos.h).
+  LinkChaos::Roots chaos_roots(faults.seed);
+  chaos_.reserve(static_cast<std::size_t>(n));
+  for (NodeId from = 0; from < n; ++from) {
+    chaos_.push_back(std::make_unique<LinkChaos>(n, from, chaos_roots));
+  }
   ring_full_link_ = std::make_unique<std::atomic<std::uint64_t>[]>(nn);
   inboxes_.resize(static_cast<std::size_t>(n));
 }
 
 void PipeHub::set_link_fault(NodeId from, NodeId to, const LinkFault& f) {
-  require(from >= 0 && from < n_ && to >= 0 && to < n_ && from != to,
-          "PipeHub: bad link");
-  link_faults_[link_index(from, to)].store(pack_link_fault(f),
-                                           std::memory_order_relaxed);
+  require(from >= 0 && from < n_, "PipeHub: bad link");
+  chaos_[static_cast<std::size_t>(from)]->arm(to, f);
+}
+
+std::uint64_t PipeHub::chaos_dropped() const {
+  std::uint64_t sum = 0;
+  for (const auto& c : chaos_) sum += c->counters().dropped;
+  return sum;
+}
+
+std::uint64_t PipeHub::corrupted() const {
+  std::uint64_t sum = 0;
+  for (const auto& c : chaos_) sum += c->counters().corrupted;
+  return sum;
 }
 
 bool PipeHub::push_one(const WireMsg& m) {
@@ -88,7 +69,6 @@ bool PipeHub::push_one(const WireMsg& m) {
 bool PipeHub::send(const WireMsg& m) {
   require(m.from >= 0 && m.from < n_ && m.to >= 0 && m.to < n_ && m.from != m.to,
           "PipeHub: bad addressing");
-  const std::size_t link = link_index(m.from, m.to);
   Rng& rng = edge_rng(m.from, m.to);
   // Always draw the full decision tuple: the per-edge RNG stream is then a
   // pure function of the send count, so a fixed seed reproduces the same
@@ -98,28 +78,24 @@ bool PipeHub::send(const WireMsg& m) {
   const double roll_reorder = rng.uniform(0.0, 1.0);
   const double draw_delay = rng.uniform(0.0, 1.0);
   const double draw_jitter = rng.uniform(0.0, 1.0);
-  // Same discipline for the chaos stream (one roll per send, armed or not).
-  const double roll_chaos = chaos_rngs_[link].uniform(0.0, 1.0);
-  const CorruptDraw corrupt{corrupt_rngs_[link].next()};
+  LinkChaos& chaos = *chaos_[static_cast<std::size_t>(m.from)];
+  const LinkChaos::Verdict verdict = chaos.decide(m.to);
   if (roll_drop < faults_.drop) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return true;  // swallowed in flight; the sender cannot tell
   }
-  const LinkFault chaos =
-      unpack_link_fault(link_faults_[link].load(std::memory_order_relaxed));
-  if (roll_chaos < chaos.drop) {
-    chaos_dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (verdict.drop) {
+    chaos.record_drop();
     return true;
   }
-  if (corrupt.hit(chaos.corrupt)) {
+  if (verdict.corrupt) {
     // Pipe frames are structs, not bytes, so corruption goes through the
     // real codec: encode, flip one bit, re-decode. CRC32C detects every
     // single-bit error, so the decode fails and the frame dies in flight,
     // counted exactly as a socket backend's receiver would count it.
-    corrupted_.fetch_add(1, std::memory_order_relaxed);
     std::uint8_t frame[kWireMax];
     const std::size_t len = wire_encode(m, frame);
-    flip_frame_bit(frame, len, corrupt);
+    chaos.corrupt(frame, len, verdict);
     WireMsg decoded;
     if (!wire_decode(frame, len, decoded)) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -129,7 +105,7 @@ bool PipeHub::send(const WireMsg& m) {
     // through, delivering the decoded bytes is the honest behavior.
   }
   WireMsg out = m;
-  Duration hold = draw_jitter * faults_.jitter + chaos.extra_delay;
+  Duration hold = draw_jitter * faults_.jitter + verdict.hold;
   if (roll_reorder < faults_.reorder) {
     hold += draw_delay * faults_.delay;
     delayed_.fetch_add(1, std::memory_order_relaxed);
@@ -167,8 +143,11 @@ bool PipeHub::poll(NodeId self, WireMsg& out) {
 
 UdpTransport::UdpTransport(int n, NodeId self, std::uint16_t base_port,
                            TimeSource* clock, std::uint64_t chaos_seed)
-    : n_(n), self_(self), base_port_(base_port), clock_(clock) {
-  require(n >= 1 && self >= 0 && self < n, "UdpTransport: bad node");
+    : n_(n),
+      self_(self),
+      base_port_(base_port),
+      clock_(clock),
+      chaos_(n, self, LinkChaos::Roots(chaos_seed)) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   require(fd_ >= 0, "UdpTransport: socket() failed");
   sockaddr_in addr{};
@@ -183,22 +162,6 @@ UdpTransport::UdpTransport(int n, NodeId self, std::uint16_t base_port,
                        std::to_string(base_port + self) + ") failed: " +
                        std::strerror(errno));
   }
-  // Per-destination chaos stream, forked the same way PipeHub forks its
-  // per-link streams: every daemon derives the same decisions for its own
-  // outbound links from (chaos_seed, self, to, send count) alone.
-  Rng chaos_root(chaos_seed ^ 0xc4a05ULL);
-  Rng corrupt_root(chaos_seed ^ 0xf11bULL);
-  chaos_rngs_.reserve(static_cast<std::size_t>(n));
-  corrupt_rngs_.reserve(static_cast<std::size_t>(n));
-  for (NodeId to = 0; to < n; ++to) {
-    const std::uint64_t stream =
-        static_cast<std::uint64_t>(self) * static_cast<std::uint64_t>(n) +
-        static_cast<std::uint64_t>(to);
-    chaos_rngs_.push_back(chaos_root.fork(stream));
-    corrupt_rngs_.push_back(corrupt_root.fork(stream));
-  }
-  link_faults_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      static_cast<std::size_t>(n));
 }
 
 UdpTransport::~UdpTransport() {
@@ -207,14 +170,12 @@ UdpTransport::~UdpTransport() {
 
 void UdpTransport::set_link_fault(NodeId from, NodeId to, const LinkFault& f) {
   if (from != self_) return;  // the peer's transport owns the reverse slot
-  require(to >= 0 && to < n_ && to != self_, "UdpTransport: bad link");
   // A latency storm needs a clock to measure the hold against. Refusing to
   // arm one here beats the old behavior (silently releasing stashed frames
   // with zero delay — a storm that quietly tests nothing).
   require(f.extra_delay <= 0.0f || clock_ != nullptr,
           "UdpTransport: latency fault armed without a clock");
-  link_faults_[static_cast<std::size_t>(to)].store(pack_link_fault(f),
-                                                   std::memory_order_relaxed);
+  chaos_.arm(to, f);
 }
 
 bool UdpTransport::transmit(const std::uint8_t* frame, std::size_t len, NodeId to) {
@@ -239,49 +200,33 @@ bool UdpTransport::transmit(const std::uint8_t* frame, std::size_t len, NodeId t
     if (!transient) break;
     ++send_retries_;
   }
-  // A real socket failure, NOT an injected fault: dropped() stays a pure
-  // function of the chaos script.
+  // A real socket failure, NOT an injected fault: chaos_dropped() stays a
+  // pure function of the chaos script.
   ++send_errors_;
   return false;
 }
 
 void UdpTransport::flush_stash() {
-  if (stash_.empty() || clock_ == nullptr) return;
-  const Time now = clock_->now();
-  while (!stash_.empty() && stash_.top().release_at <= now) {
-    const Stashed& top = stash_.top();
-    transmit(top.frame.data(), top.len, top.to);
-    stash_.pop();
-  }
+  if (clock_ == nullptr) return;
+  chaos_.release(clock_->now(), [this](const std::uint8_t* frame,
+                                       std::size_t len, NodeId to) {
+    transmit(frame, len, to);
+  });
 }
 
 bool UdpTransport::send(const WireMsg& m) {
   require(m.to >= 0 && m.to < n_ && m.to != self_, "UdpTransport: bad addressing");
   flush_stash();
-  // One chaos roll per send, armed or not (see PipeHub::send); the
-  // corruption stream keeps the same discipline independently.
-  const double roll = chaos_rngs_[static_cast<std::size_t>(m.to)].uniform(0.0, 1.0);
-  const CorruptDraw corrupt{corrupt_rngs_[static_cast<std::size_t>(m.to)].next()};
-  const LinkFault chaos = unpack_link_fault(
-      link_faults_[static_cast<std::size_t>(m.to)].load(std::memory_order_relaxed));
-  if (roll < chaos.drop) {
-    ++dropped_;
+  const LinkChaos::Verdict verdict = chaos_.decide(m.to);
+  if (verdict.drop) {
+    chaos_.record_drop();
     return true;  // swallowed in flight; the sender cannot tell
   }
   std::uint8_t frame[kWireMax];
   const std::size_t len = wire_encode(m, frame);
-  if (corrupt.hit(chaos.corrupt)) {
-    flip_frame_bit(frame, len, corrupt);
-    ++corrupted_;
-  }
-  if (chaos.extra_delay > 0.0f && clock_ != nullptr) {
-    Stashed stashed;
-    stashed.release_at = clock_->now() + chaos.extra_delay;
-    stashed.seq = stash_seq_++;
-    std::memcpy(stashed.frame.data(), frame, len);
-    stashed.len = len;
-    stashed.to = m.to;
-    stash_.push(stashed);
+  if (verdict.corrupt) chaos_.corrupt(frame, len, verdict);
+  if (verdict.hold > 0.0 && clock_ != nullptr) {
+    chaos_.hold(frame, len, m.to, clock_->now() + verdict.hold);
     return true;
   }
   return transmit(frame, len, m.to);

@@ -1,16 +1,18 @@
 // Runtime transports: how WireMsgs move between live nodes.
 //
-// Two backends behind one two-call interface (non-blocking send, non-
-// blocking poll):
+// Three backends behind one two-call interface (non-blocking send, non-
+// blocking poll): PipeHub and UdpTransport here, TcpTransport in
+// rt/tcp_transport.h.
 //
 //  * PipeHub — in-process: one lock-free SPSC ring per directed node pair
 //    (sender thread is the sole producer, receiver thread the sole
-//    consumer). Faults are injected on the SENDER side from a per-directed-
-//    edge RNG, so a fixed seed yields the same drop/duplicate/delay decision
-//    sequence regardless of thread interleaving; delayed copies carry a
-//    deliver_at stamp and are physically held back in a receiver-side
-//    pending heap until the clock passes it (which is what turns a "reorder"
-//    decision into an actual reordering relative to later sends).
+//    consumer). FaultSpec faults (drop, duplicate, reorder, jitter) are
+//    injected on the SENDER side from a per-directed-edge RNG, so a fixed
+//    seed yields the same decision sequence regardless of thread
+//    interleaving; delayed copies carry a deliver_at stamp and are
+//    physically held back in a receiver-side pending heap until the clock
+//    passes it (which is what turns a "reorder" decision into an actual
+//    reordering relative to later sends).
 //
 //  * UdpTransport — one non-blocking UDP socket per node on 127.0.0.1,
 //    frames encoded with the length-prefixed wire format (rt/wire.h).
@@ -18,29 +20,25 @@
 //    (EAGAIN/ENOBUFS) get a bounded retry and land in send_errors(), never
 //    in the injected-fault counters.
 //
-// Both backends additionally carry one chaos LinkFault slot per directed
-// link (rt/chaos.h): a lock-free atomic the ChaosScheduler writes from any
-// thread and the sender reads per frame. Chaos decisions come from their
-// own per-link RNG stream which draws exactly one uniform per send whether
-// or not a fault is armed — like the FaultSpec stream, the decision
-// sequence is a pure function of the per-link send count, which is what
-// makes lockstep chaos runs bit-reproducible. Corruption faults draw from
-// a third, equally disciplined per-link stream (one u64 per send): the
-// decision AND the flipped bit position come from that single draw, so
-// arming corruption never perturbs the drop-roll sequence. Flips land
-// anywhere past the 2-byte length prefix — corrupting the prefix would
-// break stream framing, which is a transport invariant, not an integrity
-// property the CRC is meant to catch. Every transport counts undecodable
-// ingress in rejected().
+// Chaos (cut, drop, storm, corrupt) is one layer shared by all three
+// backends: each sending node owns a LinkChaos (rt/link_chaos.h) holding
+// its per-destination fault slots, decision streams, latency stash and
+// counters, and every send() asks it exactly once what to do with the
+// frame. PipeHub keeps one LinkChaos per sender, derived in sender order
+// from one shared pair of roots; each socket transport owns one, derived
+// from fresh roots (see link_chaos.h for why the two rules must stay as
+// they are). Every transport reports the same three counters:
+// chaos_dropped(), corrupted() and rejected() — undecodable ingress, where
+// every injected corruption must end up.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <queue>
 #include <vector>
 
 #include "rt/chaos.h"
+#include "rt/link_chaos.h"
 #include "rt/spsc_ring.h"
 #include "rt/time_source.h"
 #include "rt/wire.h"
@@ -62,6 +60,10 @@ class RtTransport {
   /// Chaos fault slot of the directed link from -> to (see rt/chaos.h).
   virtual void set_link_fault(NodeId from, NodeId to, const LinkFault& f) = 0;
 
+  /// Frames swallowed by a chaos drop or cut.
+  [[nodiscard]] virtual std::uint64_t chaos_dropped() const = 0;
+  /// Frames with one chaos-injected bit flip.
+  [[nodiscard]] virtual std::uint64_t corrupted() const = 0;
   /// Ingress frames discarded as malformed — truncated, unknown version,
   /// or failing the CRC check. Every chaos-injected corruption must end up
   /// here; a nonzero count with no corruption armed means a real integrity
@@ -97,8 +99,6 @@ class PipeHub final : public RtTransport {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t duplicated() const { return duplicated_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t delayed() const { return delayed_.load(std::memory_order_relaxed); }
-  /// ChaosScheduler-injected drops (LinkFault slots).
-  [[nodiscard]] std::uint64_t chaos_dropped() const { return chaos_dropped_.load(std::memory_order_relaxed); }
   /// SPSC-ring-full producer failures: backpressure loss, total and per
   /// directed link. Nonzero means the cluster is outrunning its consumers —
   /// distinct from every injected-fault counter.
@@ -106,11 +106,13 @@ class PipeHub final : public RtTransport {
   [[nodiscard]] std::uint64_t ring_full(NodeId from, NodeId to) const {
     return ring_full_link_[link_index(from, to)].load(std::memory_order_relaxed);
   }
-  /// Chaos-injected bit flips. Pipe frames never leave the process, so the
-  /// corruption is simulated faithfully: the frame is wire-encoded, one bit
-  /// flipped, and re-decoded; a decode failure (CRC catches every single-bit
-  /// flip) lands in rejected() and the frame dies in flight.
-  [[nodiscard]] std::uint64_t corrupted() const { return corrupted_.load(std::memory_order_relaxed); }
+  /// Summed over the per-sender LinkChaos instances.
+  [[nodiscard]] std::uint64_t chaos_dropped() const override;
+  /// Pipe frames never leave the process, so corruption is simulated
+  /// faithfully: the frame is wire-encoded, one bit flipped, and re-decoded;
+  /// a decode failure (CRC catches every single-bit flip) lands in
+  /// rejected() and the frame dies in flight.
+  [[nodiscard]] std::uint64_t corrupted() const override;
   [[nodiscard]] std::uint64_t rejected() const override { return rejected_.load(std::memory_order_relaxed); }
 
  private:
@@ -146,22 +148,15 @@ class PipeHub final : public RtTransport {
   TimeSource& clock_;
   FaultSpec faults_;
   std::vector<std::unique_ptr<SpscRing<WireMsg>>> rings_;  ///< [from * n + to]
-  std::vector<Rng> rngs_;        ///< sender-owned, per directed edge (FaultSpec)
-  std::vector<Rng> chaos_rngs_;  ///< sender-owned, per directed edge (chaos)
-  /// Sender-owned corruption stream, separate from chaos_rngs_ so arming a
-  /// corrupt fault cannot shift the established drop-roll sequence (both
-  /// streams draw exactly once per send, armed or not).
-  std::vector<Rng> corrupt_rngs_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> link_faults_;    ///< packed LinkFault
+  std::vector<Rng> rngs_;  ///< sender-owned, per directed edge (FaultSpec)
+  std::vector<std::unique_ptr<LinkChaos>> chaos_;  ///< per sender
   std::unique_ptr<std::atomic<std::uint64_t>[]> ring_full_link_; ///< per directed edge
   std::vector<Inbox> inboxes_;   ///< receiver-owned, per node
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> duplicated_{0};
   std::atomic<std::uint64_t> delayed_{0};
-  std::atomic<std::uint64_t> chaos_dropped_{0};
   std::atomic<std::uint64_t> ring_full_{0};
-  std::atomic<std::uint64_t> corrupted_{0};
   std::atomic<std::uint64_t> rejected_{0};
 };
 
@@ -190,36 +185,23 @@ class UdpTransport final : public RtTransport {
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t received() const { return received_; }
   /// Chaos-injected drops only (pure function of the chaos script + seed).
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  [[nodiscard]] std::uint64_t chaos_dropped() const override {
+    return chaos_.counters().dropped;
+  }
   /// Real socket-level send failures after the bounded retry — never mixed
   /// into the injected-fault accounting.
   [[nodiscard]] std::uint64_t send_errors() const { return send_errors_; }
   [[nodiscard]] std::uint64_t send_retries() const { return send_retries_; }
   /// Chaos-injected bit flips (applied to the encoded datagram before it
   /// hits the socket).
-  [[nodiscard]] std::uint64_t corrupted() const { return corrupted_; }
+  [[nodiscard]] std::uint64_t corrupted() const override {
+    return chaos_.counters().corrupted;
+  }
   /// Undecodable ingress datagrams (truncation, foreign sender, CRC
   /// mismatch) — previously swallowed silently by poll().
   [[nodiscard]] std::uint64_t rejected() const override { return rejected_; }
 
  private:
-  struct Stashed {  // min-heap on release_at, FIFO within ties
-    Time release_at = 0.0;
-    std::uint64_t seq = 0;
-    // Encoded (and possibly already corrupted) frame: the corruption
-    // decision belongs to send time, not release time, so bytes are what
-    // the stash holds.
-    std::array<std::uint8_t, kWireMax> frame{};
-    std::size_t len = 0;
-    NodeId to = kNoNode;
-  };
-  struct StashOrder {
-    bool operator()(const Stashed& a, const Stashed& b) const {
-      if (a.release_at != b.release_at) return a.release_at > b.release_at;
-      return a.seq > b.seq;
-    }
-  };
-
   bool transmit(const std::uint8_t* frame, std::size_t len, NodeId to);
   void flush_stash();
 
@@ -228,17 +210,11 @@ class UdpTransport final : public RtTransport {
   std::uint16_t base_port_;
   int fd_ = -1;
   TimeSource* clock_ = nullptr;
-  std::vector<Rng> chaos_rngs_;    ///< per destination, sender-thread owned
-  std::vector<Rng> corrupt_rngs_;  ///< per destination, sender-thread owned
-  std::unique_ptr<std::atomic<std::uint64_t>[]> link_faults_;  ///< per destination
-  std::priority_queue<Stashed, std::vector<Stashed>, StashOrder> stash_;
-  std::uint64_t stash_seq_ = 0;
+  LinkChaos chaos_;  ///< sender-thread owned, fresh roots
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
-  std::uint64_t dropped_ = 0;
   std::uint64_t send_errors_ = 0;
   std::uint64_t send_retries_ = 0;
-  std::uint64_t corrupted_ = 0;
   std::uint64_t rejected_ = 0;
 };
 

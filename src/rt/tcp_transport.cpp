@@ -16,24 +16,6 @@ namespace gcs {
 
 namespace {
 
-// Mirrors the CorruptDraw in rt_transport.cpp: one u64 per send decides
-// both whether to flip and which bit (past the 2-byte length prefix —
-// corrupting the prefix would desynchronize the stream, and framing is a
-// transport invariant, not what the CRC guards).
-struct CorruptDraw {
-  std::uint64_t raw = 0;
-  [[nodiscard]] bool hit(float probability) const {
-    if (probability <= 0.0f) return false;
-    const double u = static_cast<double>(raw >> 11) * 0x1.0p-53;
-    return u < static_cast<double>(probability);
-  }
-  void flip(std::uint8_t* frame, std::size_t len) const {
-    const std::size_t nbits = (len - 2) * 8;
-    const std::size_t bit = 2 * 8 + static_cast<std::size_t>(raw % nbits);
-    frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-  }
-};
-
 void set_nodelay(int fd) {
   // Beacons are latency-sensitive; Nagle batching would stretch delivery
   // past msg_delay_max at high time scales.
@@ -54,8 +36,12 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 TcpTransport::TcpTransport(int n, NodeId self, std::uint16_t base_port,
                            TimeSource& clock, std::uint64_t chaos_seed,
                            const TcpConfig& config)
-    : n_(n), self_(self), base_port_(base_port), clock_(clock), config_(config) {
-  require(n >= 1 && self >= 0 && self < n, "TcpTransport: bad node");
+    : n_(n),
+      self_(self),
+      base_port_(base_port),
+      clock_(clock),
+      config_(config),
+      chaos_(n, self, LinkChaos::Roots(chaos_seed)) {
   require(config_.backoff_base > 0.0 && config_.backoff_max >= config_.backoff_base,
           "TcpTransport: bad backoff configuration");
   require(config_.write_buffer_cap >= kWireMax,
@@ -76,25 +62,16 @@ TcpTransport::TcpTransport(int n, NodeId self, std::uint16_t base_port,
                        std::to_string(base_port + self) + ") failed: " + err);
   }
   out_.resize(static_cast<std::size_t>(n));
-  // Same per-directed-link stream derivation as the UDP backend, so every
-  // node in a cluster reproduces its own outbound decisions from
-  // (chaos_seed, self, to, send count) alone.
-  Rng chaos_root(chaos_seed ^ 0xc4a05ULL);
-  Rng corrupt_root(chaos_seed ^ 0xf11bULL);
+  // Backoff jitter: per destination, forked like the chaos streams (fresh
+  // root), so every node reproduces its own reconnect schedule from
+  // (chaos_seed, self, to) alone.
   Rng backoff_root(chaos_seed ^ 0xb0ffULL);
-  chaos_rngs_.reserve(static_cast<std::size_t>(n));
-  corrupt_rngs_.reserve(static_cast<std::size_t>(n));
   backoff_rngs_.reserve(static_cast<std::size_t>(n));
   for (NodeId to = 0; to < n; ++to) {
-    const std::uint64_t stream =
+    backoff_rngs_.push_back(backoff_root.fork(
         static_cast<std::uint64_t>(self) * static_cast<std::uint64_t>(n) +
-        static_cast<std::uint64_t>(to);
-    chaos_rngs_.push_back(chaos_root.fork(stream));
-    corrupt_rngs_.push_back(corrupt_root.fork(stream));
-    backoff_rngs_.push_back(backoff_root.fork(stream));
+        static_cast<std::uint64_t>(to)));
   }
-  link_faults_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      static_cast<std::size_t>(n));
   reset_requests_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(n));
 }
@@ -111,9 +88,7 @@ TcpTransport::~TcpTransport() {
 
 void TcpTransport::set_link_fault(NodeId from, NodeId to, const LinkFault& f) {
   if (from != self_) return;  // the peer's transport owns the reverse slot
-  require(to >= 0 && to < n_ && to != self_, "TcpTransport: bad link");
-  link_faults_[static_cast<std::size_t>(to)].store(pack_link_fault(f),
-                                                   std::memory_order_relaxed);
+  chaos_.arm(to, f);
 }
 
 void TcpTransport::request_reset(NodeId peer) {
@@ -265,20 +240,18 @@ void TcpTransport::flush_wbuf(OutConn& c, Time now) {
 }
 
 void TcpTransport::flush_stash(Time now) {
-  while (!stash_.empty() && stash_.top().release_at <= now) {
-    const Stashed& top = stash_.top();
-    OutConn& c = out_[static_cast<std::size_t>(top.to)];
-    progress(c, top.to, now);
+  chaos_.release(now, [this, now](const std::uint8_t* frame, std::size_t len,
+                                  NodeId to) {
+    OutConn& c = out_[static_cast<std::size_t>(to)];
+    progress(c, to, now);
     if (c.state == ConnState::kEstablished || c.state == ConnState::kConnecting) {
-      if (enqueue_frame(c, top.frame.data(), top.len) &&
-          c.state == ConnState::kEstablished) {
+      if (enqueue_frame(c, frame, len) && c.state == ConnState::kEstablished) {
         flush_wbuf(c, now);
       }
     } else {
       ++conn_down_;
     }
-    stash_.pop();
-  }
+  });
 }
 
 bool TcpTransport::send(const WireMsg& m) {
@@ -288,14 +261,9 @@ bool TcpTransport::send(const WireMsg& m) {
   flush_stash(now);
   OutConn& c = out_[static_cast<std::size_t>(m.to)];
   progress(c, m.to, now);
-  // One draw per stream per send, armed or not (see rt_transport.h): the
-  // decision sequences stay pure functions of the per-link send count.
-  const double roll = chaos_rngs_[static_cast<std::size_t>(m.to)].uniform(0.0, 1.0);
-  const CorruptDraw corrupt{corrupt_rngs_[static_cast<std::size_t>(m.to)].next()};
-  const LinkFault chaos = unpack_link_fault(
-      link_faults_[static_cast<std::size_t>(m.to)].load(std::memory_order_relaxed));
-  if (roll < chaos.drop) {
-    ++dropped_;
+  const LinkChaos::Verdict verdict = chaos_.decide(m.to);
+  if (verdict.drop) {
+    chaos_.record_drop();
     return true;  // swallowed in flight; the sender cannot tell
   }
   if (c.state != ConnState::kEstablished && c.state != ConnState::kConnecting) {
@@ -306,18 +274,9 @@ bool TcpTransport::send(const WireMsg& m) {
   }
   std::uint8_t frame[kWireMax];
   const std::size_t len = wire_encode(m, frame);
-  if (corrupt.hit(chaos.corrupt)) {
-    corrupt.flip(frame, len);
-    ++corrupted_;
-  }
-  if (chaos.extra_delay > 0.0f) {
-    Stashed stashed;
-    stashed.release_at = now + chaos.extra_delay;
-    stashed.seq = stash_seq_++;
-    std::memcpy(stashed.frame.data(), frame, len);
-    stashed.len = len;
-    stashed.to = m.to;
-    stash_.push(stashed);
+  if (verdict.corrupt) chaos_.corrupt(frame, len, verdict);
+  if (verdict.hold > 0.0) {
+    chaos_.hold(frame, len, m.to, now + verdict.hold);
     return true;
   }
   if (!enqueue_frame(c, frame, len)) return false;

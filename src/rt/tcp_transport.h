@@ -80,9 +80,13 @@ class TcpTransport final : public RtTransport {
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t received() const { return received_; }
   /// Chaos-injected drops only (pure function of the chaos script + seed).
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  /// Chaos-injected bit flips on outbound frames.
-  [[nodiscard]] std::uint64_t corrupted() const { return corrupted_; }
+  [[nodiscard]] std::uint64_t chaos_dropped() const override {
+    return chaos_.counters().dropped;
+  }
+  /// Chaos-injected bit flips on outbound frames (live connections only).
+  [[nodiscard]] std::uint64_t corrupted() const override {
+    return chaos_.counters().corrupted;
+  }
   /// Undecodable ingress frames (CRC mismatch etc.); framing survives — a
   /// bad frame is skipped by its length prefix, the stream stays in sync.
   [[nodiscard]] std::uint64_t rejected() const override { return rejected_; }
@@ -115,19 +119,6 @@ class TcpTransport final : public RtTransport {
     std::vector<std::uint8_t> rbuf;  ///< partial-frame reassembly
     std::size_t consumed = 0;        ///< parsed prefix of rbuf
   };
-  struct Stashed {  // latency-storm hold, min-heap on release_at
-    Time release_at = 0.0;
-    std::uint64_t seq = 0;
-    std::array<std::uint8_t, kWireMax> frame{};
-    std::size_t len = 0;
-    NodeId to = kNoNode;
-  };
-  struct StashOrder {
-    bool operator()(const Stashed& a, const Stashed& b) const {
-      if (a.release_at != b.release_at) return a.release_at > b.release_at;
-      return a.seq > b.seq;
-    }
-  };
 
   void consume_reset_requests(Time now);
   void progress(OutConn& c, NodeId peer, Time now);
@@ -149,17 +140,11 @@ class TcpTransport final : public RtTransport {
   std::vector<OutConn> out_;       ///< per peer, owner-thread only
   std::vector<InConn> in_;         ///< accepted connections, owner-thread only
   std::deque<WireMsg> pending_;    ///< decoded frames awaiting poll()
-  std::vector<Rng> chaos_rngs_;    ///< per destination, owner-thread only
-  std::vector<Rng> corrupt_rngs_;  ///< per destination, owner-thread only
+  LinkChaos chaos_;                ///< owner-thread only, fresh roots
   std::vector<Rng> backoff_rngs_;  ///< per destination, jitter stream
-  std::unique_ptr<std::atomic<std::uint64_t>[]> link_faults_;  ///< per destination
-  std::unique_ptr<std::atomic<bool>[]> reset_requests_;        ///< per destination
-  std::priority_queue<Stashed, std::vector<Stashed>, StashOrder> stash_;
-  std::uint64_t stash_seq_ = 0;
+  std::unique_ptr<std::atomic<bool>[]> reset_requests_;  ///< per destination
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t corrupted_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t backpressure_ = 0;
   std::uint64_t conn_down_ = 0;
