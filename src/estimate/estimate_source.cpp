@@ -55,13 +55,13 @@ BeaconEstimateSource::BeaconEstimateSource(DynamicGraph& graph,
 std::optional<ClockValue> BeaconEstimateSource::estimate(NodeId u, NodeId v) {
   require(clocks_ != nullptr, "BeaconEstimateSource: bind() not called");
   if (graph_.find_neighbor(u, v) == nullptr) return std::nullopt;
-  const auto it = entries_.find(key(u, v));
-  if (it == entries_.end()) return std::nullopt;
+  const Entry* e = entries_.find(u, v);
+  if (e == nullptr) return std::nullopt;
   // Advance the snapshot at the receiver's own hardware rate: the estimate
   // error stays within beacon_eps() because the rate mismatch to the
   // neighbor's logical clock is bounded by 2ρ + µ(1+ρ).
-  const ClockValue hw_elapsed = clocks_->true_hardware(u) - it->second.recv_hw;
-  return it->second.base + hw_elapsed;
+  const ClockValue hw_elapsed = clocks_->true_hardware(u) - e->recv_hw;
+  return e->base + hw_elapsed;
 }
 
 double BeaconEstimateSource::eps(const EdgeKey& e) const {
@@ -75,11 +75,11 @@ void BeaconEstimateSource::on_beacon(const Delivery& d) {
   Entry entry;
   entry.base = beacon->logical + (1.0 - rho_) * d.known_min_delay;
   entry.recv_hw = clocks_->true_hardware(d.to);
-  entries_[key(d.to, d.from)] = entry;
+  entries_.find_or_insert(d.to, d.from) = entry;
 }
 
 void BeaconEstimateSource::on_edge_lost(NodeId u, NodeId peer) {
-  entries_.erase(key(u, peer));
+  entries_.erase(u, peer);
 }
 
 // --------------------------------------------------------------------------

@@ -13,12 +13,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/dynamic_graph.h"
 #include "net/message.h"
 #include "util/common.h"
+#include "util/peer_rows.h"
 #include "util/registry.h"
 #include "util/rng.h"
 
@@ -162,23 +162,18 @@ class BeaconEstimateSource final : public EstimateSource {
   /// The caller is responsible for the graph-presence precondition that
   /// estimate() checks itself.
   [[nodiscard]] bool snapshot(NodeId u, NodeId v, Entry& out) const {
-    const auto it = entries_.find(key(u, v));
-    if (it == entries_.end()) return false;
-    out = it->second;
+    const Entry* e = entries_.find(u, v);
+    if (e == nullptr) return false;
+    out = *e;
     return true;
   }
 
  private:
-  static std::uint64_t key(NodeId owner, NodeId peer) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(owner)) << 32) |
-           static_cast<std::uint32_t>(peer);
-  }
-
   DynamicGraph& graph_;
   double beacon_period_;
   double rho_;
   double mu_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
+  PeerRows<Entry> entries_;  ///< row = receiver, peer = beacon sender
 };
 
 // --------------------------------------------------------------------------

@@ -12,7 +12,8 @@ RttEstimateSource::RttEstimateSource(DynamicGraph& graph, Duration probe_period,
       rho_(rho),
       mu_(mu),
       window_(window),
-      outlier_(outlier) {
+      outlier_(outlier),
+      next_id_(static_cast<std::size_t>(graph.size()), 0) {
   require(probe_period > 0.0, "RttEstimateSource: probe period must be > 0");
   require(window >= 1, "RttEstimateSource: window must be >= 1");
   require(outlier >= 1.0, "RttEstimateSource: outlier factor must be >= 1");
@@ -21,13 +22,13 @@ RttEstimateSource::RttEstimateSource(DynamicGraph& graph, Duration probe_period,
 std::optional<ClockValue> RttEstimateSource::estimate(NodeId u, NodeId v) {
   require(clocks_ != nullptr, "RttEstimateSource: bind() not called");
   if (graph_.find_neighbor(u, v) == nullptr) return std::nullopt;
-  const auto it = edges_.find(key(u, v));
-  if (it == edges_.end() || !it->second.have_estimate) return std::nullopt;
+  const EdgeSync* sync = edges_.find(u, v);
+  if (sync == nullptr || !sync->have_estimate) return std::nullopt;
   // Extrapolate at the owner's hardware rate, exactly like the beacon
   // source: the rate mismatch to the peer's logical clock is bounded by
   // 2ρ + µ(1+ρ), which eps() charges over a full probe period.
-  const ClockValue hw_elapsed = clocks_->true_hardware(u) - it->second.recv_hw;
-  return it->second.base + hw_elapsed;
+  const ClockValue hw_elapsed = clocks_->true_hardware(u) - sync->recv_hw;
+  return sync->base + hw_elapsed;
 }
 
 double RttEstimateSource::eps(const EdgeKey& e) const {
@@ -35,17 +36,10 @@ double RttEstimateSource::eps(const EdgeKey& e) const {
 }
 
 void RttEstimateSource::on_edge_lost(NodeId u, NodeId peer) {
-  edges_.erase(key(u, peer));
+  edges_.erase(u, peer);
   // Orphan the in-flight probes toward that peer (a late response must not
   // resurrect the estimate of an edge the view already dropped).
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const bool mine = static_cast<NodeId>(it->first >> 32) == u;
-    if (mine && it->second.peer == peer) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  pending_.erase_if(u, [peer](const auto& s) { return s.value.peer == peer; });
 }
 
 void RttEstimateSource::on_probe(NodeId u, ProbeSender& sender) {
@@ -53,22 +47,15 @@ void RttEstimateSource::on_probe(NodeId u, ProbeSender& sender) {
   const ClockValue hw = clocks_->true_hardware(u);
   // Prune this owner's stale in-flight probes (lost requests/responses).
   const ClockValue horizon = hw - kStaleRounds * probe_period_;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const bool mine = static_cast<NodeId>(it->first >> 32) == u;
-    if (mine && it->second.send_hw < horizon) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::uint32_t& next = next_id_[u];
+  pending_.erase_if(u, [horizon](const auto& s) { return s.value.send_hw < horizon; });
+  std::uint32_t& next = next_id_[static_cast<std::size_t>(u)];
   // Two back-to-back requests per neighbor (edyn's two-phase exchange): one
   // lost datagram still leaves this round a sample.
   for (const NeighborView& nv : graph_.view_neighbors(u)) {
     for (int shot = 0; shot < 2; ++shot) {
       const std::uint32_t id = next++;
       if (sender.send_time_request(u, nv.id, TimeRequest{id, hw})) {
-        pending_[key(u, id)] = Pending{nv.id, hw};
+        pending_.find_or_insert(u, id) = Pending{nv.id, hw};
       }
     }
   }
@@ -93,16 +80,16 @@ double RttEstimateSource::filtered_transit(const std::vector<double>& rtts,
 void RttEstimateSource::on_time_response(const Delivery& d, const TimeResponse& resp) {
   require(clocks_ != nullptr, "RttEstimateSource: bind() not called");
   const NodeId owner = d.to;
-  const auto pit = pending_.find(key(owner, resp.id));
-  if (pit == pending_.end()) return;  // duplicate, stale, or post-edge-loss
-  const Pending p = pit->second;
-  pending_.erase(pit);
+  const Pending* pit = pending_.find(owner, resp.id);
+  if (pit == nullptr) return;  // duplicate, stale, or post-edge-loss
+  const Pending p = *pit;
+  pending_.erase(owner, resp.id);
   if (p.peer != d.from) return;  // response relayed by the wrong peer: discard
   if (graph_.find_neighbor(owner, d.from) == nullptr) return;
   const ClockValue hw = clocks_->true_hardware(owner);
   const double rtt = hw - resp.echo_hw;
   if (rtt < 0.0) return;  // clock anomaly; never poison the window
-  EdgeSync& sync = edges_[key(owner, d.from)];
+  EdgeSync& sync = edges_.find_or_insert(owner, d.from);
   if (sync.rtts.size() < static_cast<std::size_t>(window_)) {
     sync.rtts.push_back(rtt);
   } else {
@@ -120,9 +107,9 @@ void RttEstimateSource::on_time_response(const Delivery& d, const TimeResponse& 
 }
 
 double RttEstimateSource::transit_estimate(NodeId owner, NodeId peer) const {
-  const auto it = edges_.find(key(owner, peer));
-  if (it == edges_.end() || it->second.rtts.empty()) return -1.0;
-  return filtered_transit(it->second.rtts, outlier_);
+  const EdgeSync* sync = edges_.find(owner, peer);
+  if (sync == nullptr || sync->rtts.empty()) return -1.0;
+  return filtered_transit(sync->rtts, outlier_);
 }
 
 void register_rtt_estimate(Registry<EstimateFactory>& r) {

@@ -20,10 +20,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "estimate/estimate_source.h"
+#include "util/peer_rows.h"
 
 namespace gcs {
 
@@ -63,10 +63,6 @@ class RttEstimateSource final : public EstimateSource {
   };
   static constexpr double kStaleRounds = 4.0;
 
-  static std::uint64_t key(NodeId owner, NodeId peer) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(owner)) << 32) |
-           static_cast<std::uint32_t>(peer);
-  }
   /// Outlier-rejected mean of the window, halved into a one-way transit.
   [[nodiscard]] static double filtered_transit(const std::vector<double>& rtts,
                                                double outlier);
@@ -77,9 +73,11 @@ class RttEstimateSource final : public EstimateSource {
   double mu_;
   int window_;
   double outlier_;
-  std::unordered_map<std::uint64_t, EdgeSync> edges_;        ///< key(owner, peer)
-  std::unordered_map<std::uint64_t, Pending> pending_;       ///< key(owner, probe id)
-  std::unordered_map<NodeId, std::uint32_t> next_id_;        ///< per-owner probe ids
+  PeerRows<EdgeSync> edges_;                  ///< row = owner, peer = neighbor
+  /// Row = owner, key = probe id. Ids are handed out ascending, so each row
+  /// is append-only and a prune touches only that owner's probes.
+  PeerRows<Pending, std::uint32_t> pending_;
+  std::vector<std::uint32_t> next_id_;        ///< per-owner next probe id
   std::uint64_t samples_accepted_ = 0;
 };
 

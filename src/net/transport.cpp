@@ -7,11 +7,6 @@
 namespace gcs {
 
 namespace {
-std::uint64_t dir_key(NodeId from, NodeId to) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-         static_cast<std::uint32_t>(to);
-}
-
 // The inline-blob delivery path stores the Payload bytes directly in the
 // kernel's 32-byte blob slot; both properties are what make that a plain
 // block copy with no destructor obligations.
@@ -37,19 +32,18 @@ Transport::Transport(Simulator& sim, DynamicGraph& graph, std::uint64_t seed)
 }
 
 void Transport::set_directional_delay(NodeId from, NodeId to, Duration delay) {
-  directional_override_[dir_key(from, to)] = delay;
+  directional_override_.find_or_insert(from, to) = delay;
 }
 
 void Transport::clear_directional_delay(NodeId from, NodeId to) {
-  directional_override_.erase(dir_key(from, to));
+  directional_override_.erase(from, to);
 }
 
 Duration Transport::pick_delay(NodeId from, NodeId to, const EdgeParams& params) {
-  if (!directional_override_.empty()) {  // adversarial runs only
-    const auto it = directional_override_.find(dir_key(from, to));
-    if (it != directional_override_.end()) {
-      return std::clamp(it->second, params.msg_delay_min, params.msg_delay_max);
-    }
+  // Adversarial runs only; without overrides the rows are empty and the
+  // lookup is one bounds check.
+  if (const Duration* pinned = directional_override_.find(from, to)) {
+    return std::clamp(*pinned, params.msg_delay_min, params.msg_delay_max);
   }
   switch (delay_mode_) {
     case DelayMode::kUniform:
@@ -63,14 +57,18 @@ Duration Transport::pick_delay(NodeId from, NodeId to, const EdgeParams& params)
 }
 
 Rng& Transport::edge_stream(NodeId from, NodeId to) {
-  const std::uint64_t key = dir_key(from, to);
-  const auto it = edge_rng_.find(key);
-  if (it != edge_rng_.end()) return it->second;
+  if (Rng* rng = edge_rng_.find(from, to)) return *rng;
   // The substream seed is a pure function of (transport seed, directed edge),
   // so the sequence a sender draws over an edge is identical no matter which
-  // shard — or how many shards — host the run.
+  // shard — or how many shards — host the run, or in which order it first
+  // touches its edges.
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
+      static_cast<std::uint32_t>(to);
   std::uint64_t sm = seed_ ^ (key + 0x9e3779b97f4a7c15ULL);
-  return edge_rng_.emplace(key, Rng(splitmix64(sm))).first->second;
+  Rng& rng = edge_rng_.find_or_insert(from, to);
+  rng.reseed(splitmix64(sm));
+  return rng;
 }
 
 bool Transport::send(NodeId from, NodeId to, Payload payload) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <utility>
 
 #include "graph/dynamic_graph.h"
@@ -16,6 +15,7 @@
 #include "net/message.h"
 #include "sim/event.h"
 #include "sim/simulator.h"
+#include "util/peer_rows.h"
 #include "util/rng.h"
 
 namespace gcs {
@@ -143,7 +143,7 @@ class Transport final : public EventDispatcher {
   std::uint8_t channel_ = kNoChannel;  ///< registered dispatch channel
   std::uint64_t seed_;
   Rng rng_;
-  std::unordered_map<std::uint64_t, Rng> edge_rng_;  ///< kEdgeUniform substreams
+  PeerRows<Rng> edge_rng_;  ///< kEdgeUniform substreams: row = sender, peer = receiver
   const std::vector<std::uint8_t>* local_mask_ = nullptr;
   CrossCapture cross_capture_;
   DeliverySink* sink_ = nullptr;
@@ -151,7 +151,7 @@ class Transport final : public EventDispatcher {
   Handler handler_;
   KernelTraceSink* trace_ = nullptr;
   DelayMode delay_mode_ = DelayMode::kUniform;
-  std::unordered_map<std::uint64_t, Duration> directional_override_;
+  PeerRows<Duration> directional_override_;  ///< row = sender, peer = receiver
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

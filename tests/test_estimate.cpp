@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "estimate/estimate_source.h"
 #include "runner/scenario.h"
@@ -165,6 +166,78 @@ TEST(BeaconEstimates, ClearedOnEdgeLoss) {
   s.graph().destroy_edge(EdgeKey(0, 1));
   s.run_for(1.0);
   EXPECT_FALSE(s.estimate_of(0, 1).has_value());
+}
+
+// The beacon source's stored state over one edge's life: unset, set by a
+// beacon, cleared by the owner's edge loss, still unset after rediscovery
+// until the next beacon. Driven directly (no engine) with pinned clocks.
+struct PinnedClocks final : ClockAccess {
+  std::vector<ClockValue> hw = std::vector<ClockValue>(4, 0.0);
+  ClockValue true_logical(NodeId u) override { return hw[static_cast<std::size_t>(u)]; }
+  ClockValue true_hardware(NodeId u) override { return hw[static_cast<std::size_t>(u)]; }
+};
+
+TEST(BeaconEstimates, LifecycleOfOneOwnersEntries) {
+  Simulator sim;
+  DynamicGraph graph(sim, 4, 3);
+  const EdgeParams p = default_edge_params(0.1, 0.5, 0.5, 0.1);
+  for (NodeId v : {3, 1, 2}) graph.create_edge_instant(EdgeKey(0, v), p);
+  const double rho = 1e-3;
+  BeaconEstimateSource src(graph, 0.25, rho, 0.05);
+  PinnedClocks clocks;
+  src.bind(&clocks);
+
+  const auto beacon = [&](NodeId from, ClockValue logical) {
+    const Payload payload = Beacon{logical, 0.0, 0.0};
+    Delivery d;
+    d.from = from;
+    d.to = 0;
+    d.known_min_delay = 0.1;
+    d.payload = &payload;
+    src.on_beacon(d);
+  };
+  const auto expect_entry = [&](NodeId v, ClockValue logical, ClockValue recv_hw) {
+    const ClockValue base = logical + (1.0 - rho) * 0.1;
+    BeaconEstimateSource::Entry e;
+    ASSERT_TRUE(src.snapshot(0, v, e)) << "peer " << v;
+    EXPECT_EQ(e.base, base);
+    EXPECT_EQ(e.recv_hw, recv_hw);
+    const auto est = src.estimate(0, v);
+    ASSERT_TRUE(est.has_value()) << "peer " << v;
+    EXPECT_EQ(*est, base + (clocks.hw[0] - recv_hw));
+  };
+  const auto expect_none = [&](NodeId v) {
+    BeaconEstimateSource::Entry e;
+    EXPECT_FALSE(src.snapshot(0, v, e)) << "peer " << v;
+    EXPECT_FALSE(src.estimate(0, v).has_value()) << "peer " << v;
+  };
+
+  for (NodeId v : {1, 2, 3}) expect_none(v);
+  clocks.hw[0] = 2.0;
+  beacon(3, 7.0);  // peers arrive out of id order
+  beacon(1, 5.0);
+  clocks.hw[0] = 2.25;
+  beacon(2, 6.0);
+  beacon(1, 5.5);  // a newer beacon overwrites
+  clocks.hw[0] = 2.7;
+  expect_entry(1, 5.5, 2.25);
+  expect_entry(2, 6.0, 2.25);
+  expect_entry(3, 7.0, 2.0);
+  EXPECT_FALSE(src.estimate(1, 0).has_value());  // the other direction is its own
+
+  graph.destroy_edge_instant(EdgeKey(0, 1));
+  src.on_edge_lost(0, 1);
+  expect_none(1);
+  expect_entry(2, 6.0, 2.25);  // the owner's other peers are untouched
+  expect_entry(3, 7.0, 2.0);
+
+  graph.create_edge_instant(EdgeKey(0, 1), p);  // rediscovery
+  clocks.hw[0] = 3.0;
+  expect_none(1);
+  beacon(1, 8.0);
+  clocks.hw[0] = 3.4;
+  expect_entry(1, 8.0, 3.0);
+  expect_entry(3, 7.0, 2.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "graph/dynamic_graph.h"
@@ -79,6 +81,53 @@ TEST(Transport, DirectionalOverrideClampedToBounds) {
   ASSERT_EQ(f.deliveries.size(), 2u);
   EXPECT_DOUBLE_EQ(f.deliveries[0].delivered_at - f.deliveries[0].sent_at, 0.3);
   EXPECT_DOUBLE_EQ(f.deliveries[1].delivered_at - f.deliveries[1].sent_at, 0.5);
+}
+
+// Edge-uniform delays are a pure function of (seed, directed edge): the
+// sequence drawn over an edge does not depend on which edges the transport
+// touched first, or how sends over different edges interleave.
+TEST(Transport, EdgeUniformStreamsIgnoreFirstTouchOrder) {
+  using Directed = std::pair<NodeId, NodeId>;
+  const std::vector<Directed> edges = {{0, 1}, {1, 0}, {1, 2}, {2, 1}};
+  const auto delays_by_edge = [&](bool reversed) {
+    Fixture f;  // both fixtures build their transport from the same seed
+    f.transport.set_delay_mode(DelayMode::kEdgeUniform);
+    constexpr int kPerEdge = 6;
+    // All sends leave at t = 0, so each delivery time is exactly the drawn
+    // delay; the beacon carries the send's index on its edge.
+    const auto send = [&](const Directed& e, int index) {
+      EXPECT_TRUE(f.transport.send(e.first, e.second, Beacon{1.0 * index}));
+    };
+    if (reversed) {  // last edge first, each edge's sends in one block
+      for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+        for (int i = 0; i < kPerEdge; ++i) send(*it, i);
+      }
+    } else {  // round-robin from the first edge
+      for (int i = 0; i < kPerEdge; ++i) {
+        for (const Directed& e : edges) send(e, i);
+      }
+    }
+    f.sim.run();
+    EXPECT_EQ(f.deliveries.size(), edges.size() * kPerEdge);
+    std::map<Directed, std::vector<double>> seen;
+    for (const Directed& e : edges) seen[e].assign(kPerEdge, -1.0);
+    for (std::size_t i = 0; i < f.deliveries.size(); ++i) {
+      const auto index = static_cast<std::size_t>(std::get<Beacon>(f.payloads[i]).logical);
+      seen[{f.deliveries[i].from, f.deliveries[i].to}].at(index) = f.deliveries[i].delivered_at;
+    }
+    return seen;
+  };
+  const auto forward = delays_by_edge(false);
+  const auto reverse = delays_by_edge(true);
+  ASSERT_EQ(forward.size(), edges.size());
+  EXPECT_EQ(forward, reverse);
+  EXPECT_NE(forward.at({0, 1}), forward.at({1, 0}));  // each direction has its own
+  // The substream seed is splitmix64(seed ^ (from << 32 | to) + φ), seed 9.
+  std::uint64_t sm = 9ULL ^ ((std::uint64_t{1} << 32 | 2) + 0x9e3779b97f4a7c15ULL);
+  Rng expected(splitmix64(sm));
+  for (const double delay : forward.at({1, 2})) {
+    EXPECT_EQ(delay, expected.uniform(0.1, 0.5));
+  }
 }
 
 TEST(Transport, DropsWhenEdgeVanishesMidFlight) {

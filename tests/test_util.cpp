@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "util/common.h"
 #include "util/csv.h"
 #include "util/flags.h"
+#include "util/peer_rows.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -95,6 +98,85 @@ TEST(Rng, ForkProducesIndependentStreams) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (a.next() == b.next());
   EXPECT_LT(same, 4);
+}
+
+// find() over the whole (owner, peer) domain, owners beyond every row
+// included, must see exactly the reference map's entries.
+template <class T, class Key>
+void expect_rows_match(const PeerRows<T, Key>& rows,
+                       const std::map<std::pair<NodeId, Key>, T>& ref, NodeId owners,
+                       Key peers) {
+  for (NodeId owner = 0; owner < owners; ++owner) {
+    for (Key peer = 0; peer < peers; ++peer) {
+      const auto it = ref.find({owner, peer});
+      const T* got = rows.find(owner, peer);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << owner << " -> " << peer;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second) << owner << " -> " << peer;
+      }
+    }
+  }
+}
+
+TEST(PeerRows, MatchesReferenceMapUnderRandomOperations) {
+  constexpr NodeId kOwners = 24;  // the rows start empty: most early owners are new
+  constexpr NodeId kPeers = 16;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    PeerRows<int> rows;
+    std::map<std::pair<NodeId, NodeId>, int> ref;
+    for (int step = 0; step < 1500; ++step) {
+      const auto owner = static_cast<NodeId>(rng.below(kOwners));
+      const auto peer = static_cast<NodeId>(rng.below(kPeers));  // any order
+      const auto value = static_cast<int>(rng.below(1000));
+      const auto found = ref.find({owner, peer});
+      switch (rng.below(5)) {
+        case 0:  // insert, or overwrite when present
+        case 1:
+          rows.find_or_insert(owner, peer) = value;
+          ref[{owner, peer}] = value;
+          break;
+        case 2:  // erase, of a present or an absent peer
+          EXPECT_EQ(rows.erase(owner, peer), found != ref.end());
+          ref.erase({owner, peer});
+          break;
+        case 3: {  // find
+          const int* got = rows.find(owner, peer);
+          ASSERT_EQ(got != nullptr, found != ref.end());
+          if (got != nullptr) {
+            EXPECT_EQ(*got, found->second);
+          }
+          break;
+        }
+        case 4:  // erase_if over one owner's row
+          rows.erase_if(owner, [&](const auto& s) { return s.value % 3 == value % 3; });
+          std::erase_if(ref, [&](const auto& kv) {
+            return kv.first.first == owner && kv.second % 3 == value % 3;
+          });
+          break;
+      }
+      expect_rows_match(rows, ref, kOwners + 2, kPeers);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(PeerRows, AppendOnlyKeysAndOwnersBeyondTheRows) {
+  PeerRows<double, std::uint32_t> rows;
+  std::map<std::pair<NodeId, std::uint32_t>, double> ref;
+  EXPECT_EQ(rows.find(5, 0), nullptr);
+  EXPECT_FALSE(rows.erase(5, 0));
+  rows.erase_if(5, [](const auto&) { return true; });
+  for (std::uint32_t id = 0; id < 40; ++id) {
+    rows.find_or_insert(3, id) = 0.5 * id;
+    ref[{3, id}] = 0.5 * id;
+  }
+  rows.find_or_insert(3, 7) = -1.0;  // overwrite in the middle of the row
+  ref[{3, 7}] = -1.0;
+  expect_rows_match(rows, ref, 6, 41u);
+  rows.erase_if(3, [](const auto& s) { return s.peer < 10; });
+  std::erase_if(ref, [](const auto& kv) { return kv.first.second < 10; });
+  expect_rows_match(rows, ref, 6, 41u);
 }
 
 TEST(RunningStats, BasicMoments) {
