@@ -65,8 +65,6 @@
 //                 record and aligned, so schedule-in/fire-out touches ONE
 //                 line per event and compiles to straight 16-byte block
 //                 copies (field-wise repacking measurably loses to this)
-//   targets_      escape-hatch EventDispatcher*, written/read ONLY for
-//                 virtual-dispatch typed events (channel == kNoChannel)
 //   closures_     out-of-line std::function, kClosure slots only
 //
 // The ordering key (16-byte HeapEntry) is what migrates between timer tiers;
@@ -74,7 +72,7 @@
 // kernel at all: deliveries carry an opaque arena reference (see
 // net/arena.h).
 //
-// ## Fire path: batch drain + devirtualized dispatch
+// ## Fire path: batch drain + channel dispatch
 //
 // run_until consumes the sorted run in one tight loop: while the run front
 // is the next event, it releases the slot and dispatches without re-entering
@@ -85,9 +83,8 @@
 // front against the overlay root before every pop, so a later-scheduled but
 // earlier-firing event still preempts the run. Typed events dispatch through
 // a registered channel: a plain function pointer whose body makes a direct
-// call into the `final` owner (Engine/Transport) — no vtable load; records
-// built with an EventDispatcher* keep the virtual call as the cold escape
-// hatch. The steady-state schedule/fire/cancel cycle performs no allocation.
+// call into the owner (Engine/Transport) — no vtable load. The steady-state
+// schedule/fire/cancel cycle performs no allocation.
 //
 // ## Instant boundaries
 //
@@ -146,7 +143,7 @@ class Simulator {
  public:
   using Callback = std::function<void()>;
   /// A registered dispatch channel's fire hook. Implementations are expected
-  /// to be one direct (devirtualized) call into the registering object.
+  /// to be one direct call into the registering object.
   using DispatchFn = void (*)(void* self, const SimEvent& ev);
   /// An instant-flush hook (see the header comment, "Instant boundaries").
   using FlushFn = void (*)(void* self);
@@ -189,8 +186,8 @@ class Simulator {
 
   /// Schedule a typed event record (no allocation; one aligned 32-byte copy
   /// into the kernel's slot storage). Same time rules. The event's channel
-  /// must be a registered dispatch channel (unchecked on this hot path) —
-  /// use the `target` overload for the virtual escape hatch.
+  /// must be a registered dispatch channel (unchecked on this hot path;
+  /// debug builds check it when the event fires).
   EventId schedule_event_at(Time at, const SimEvent& ev);
   EventId schedule_event_after(Duration delay, const SimEvent& ev) {
     return schedule_event_at(now_ + delay, ev);
@@ -208,14 +205,6 @@ class Simulator {
   /// only inside the dispatch of an event flagged kEventFlagInlineBlob;
   /// stable for the whole handler call (handlers may schedule freely).
   [[nodiscard]] const InlineBlob& fired_blob() const { return fired_blob_; }
-
-  /// Virtual escape hatch: dispatch the fired event through `target` instead
-  /// of a registered channel (tests, adversaries, ad-hoc dispatchers). The
-  /// pointer lives in a cold side array, not the hot record.
-  EventId schedule_event_at(Time at, SimEvent ev, EventDispatcher* target);
-  EventId schedule_event_after(Duration delay, SimEvent ev, EventDispatcher* target) {
-    return schedule_event_at(now_ + delay, ev, target);
-  }
 
   /// Cancel a pending event. Returns false if already fired/cancelled.
   bool cancel(EventId id);
@@ -401,9 +390,8 @@ class Simulator {
   std::vector<HeapEntry> l1_[kL1Count];
   std::vector<HeapEntry> l2_[kL2Count];
   std::vector<HeapEntry> far_;
-  std::vector<SlotMeta> meta_;       ///< parallel to recs_/targets_/closures_
+  std::vector<SlotMeta> meta_;       ///< parallel to recs_/closures_
   std::vector<SimEvent> recs_;       ///< hot 32-byte event records by slot
-  std::vector<EventDispatcher*> targets_;  ///< virtual escape hatch only
   std::vector<Callback> closures_;   ///< kClosure callbacks, same slot index
   std::vector<InlineBlob> blobs_;    ///< inline payload bytes, same slot index
   std::vector<std::uint32_t> free_slots_;

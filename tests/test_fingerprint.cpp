@@ -5,10 +5,8 @@
 // hash per catalog scenario. CMake registers ONE CTEST PER ROW (by gtest
 // filter on the row's sanitized name), so a trajectory regression names the
 // exact scenario it broke instead of failing one monolithic test. Each
-// per-row test recomputes the row from its own serialized spec — the row is
-// self-contained — on the scalar reference path AND, where the CPU has a
-// vector kernel, on the SIMD path: hash equality per row is the license
-// under which the vectorized trigger scan is allowed to run at all.
+// per-row test recomputes the row once from its own serialized spec — the
+// row is self-contained — and compares hash and event count.
 //
 // Invariance suite: the same hashes must come out of every SweepRunner
 // thread count (runs are constructed per-worker; PR 5's determinism
@@ -37,7 +35,6 @@
 #include "fingerprint_common.h"
 #include "runner/island_runner.h"
 #include "runner/sweep.h"
-#include "util/simd.h"
 
 namespace gcs {
 namespace {
@@ -49,16 +46,6 @@ std::string sanitize(const std::string& name) {
   std::string out = name;
   std::replace(out.begin(), out.end(), '-', '_');
   return out;
-}
-
-/// Scoped scalar/vector selection around a recomputation; restores the
-/// process default (scalar unless GCS_SIMD opted in) afterwards.
-FingerprintResult run_with_simd(const Case& c, bool vector_path) {
-  const bool prev = simd::enabled();
-  simd::set_enabled(vector_path);
-  FingerprintResult result = fptable::run_case(c);
-  simd::set_enabled(prev);
-  return result;
 }
 
 /// Fingerprint every sim catalog entry through a SweepRunner grid with the
@@ -223,21 +210,12 @@ TEST_P(PinnedFingerprint, MatchesCommittedHash) {
   }
   const Case c = fptable::case_from_row(row);
 
-  const FingerprintResult scalar = run_with_simd(c, /*vector_path=*/false);
-  EXPECT_EQ(scalar.hash, row.hash)
-      << "scalar trajectory diverged from the pinned fingerprint for '" << row.name
+  const FingerprintResult result = fptable::run_case(c);
+  EXPECT_EQ(result.hash, row.hash)
+      << "trajectory diverged from the pinned fingerprint for '" << row.name
       << "' — a behavior change reached a pinned scenario; see "
          "docs/ARCHITECTURE.md § Fingerprint pinning before regenerating";
-  EXPECT_EQ(scalar.events, row.events) << "event count changed for '" << row.name << "'";
-
-  if (simd::available()) {
-    // The vector path's license: bit-identical trajectories on every pin.
-    const FingerprintResult vec = run_with_simd(c, /*vector_path=*/true);
-    EXPECT_EQ(vec.hash, scalar.hash)
-        << "SIMD (" << simd::backend() << ") trigger scan diverged from the "
-        << "scalar reference on '" << row.name << "'";
-    EXPECT_EQ(vec.events, scalar.events);
-  }
+  EXPECT_EQ(result.events, row.events) << "event count changed for '" << row.name << "'";
 }
 
 INSTANTIATE_TEST_SUITE_P(Table, PinnedFingerprint,

@@ -5,7 +5,6 @@
 #include "core/params.h"
 #include "core/triggers.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace gcs {
 namespace {
@@ -208,22 +207,77 @@ TEST(Triggers, DataDrivenScanMatchesDeepScan) {
 }
 
 // ---------------------------------------------------------------------------
-// Property: the vectorized level scan is decision-identical to the scalar
-// reference. The pinned fingerprint rows prove this end-to-end through whole
-// runs; this is the direct unit-level form over adversarial random inputs —
-// including missing estimates, inert (level_limit < 1) entries and sub-quantum
-// near-threshold discrepancies the catalog scenarios may never produce.
+// Property: evaluate_triggers agrees with a literal transcription of
+// Defs. 4.5/4.6 that scans every level 1..cap — no quick-reject, no
+// data-driven s_stop, no early exit. DataDrivenScanMatchesDeepScan runs both
+// of its sides through those shortcuts; this oracle runs through none, so a
+// quick-reject threshold or an s_stop bound that cuts off a witnessing level
+// shows up here. The inputs are adversarial: missing estimates, inert
+// (level_limit < 1) entries, small caps, and discrepancies within 1e-12 of a
+// level threshold. The oracle spells each threshold with the same floating-
+// point expression as the scan, so the comparison is exact.
 // ---------------------------------------------------------------------------
 
-TEST(Triggers, VectorScanMatchesScalarReference) {
-  if (!simd::available()) {
-    GTEST_SKIP() << "no vector kernel on this CPU (" << simd::backend() << ")";
+// Def. 4.5 at level s: some member of N^s is certifiably ahead by at least
+// sκ − ε, and no member of N^s is behind by more than sκ + 2µτ + ε. A member
+// without an estimate certifies nothing and blocks the universal clause.
+bool literal_fast(const std::vector<LevelPeer>& peers, int s) {
+  const double sd = static_cast<double>(s);
+  bool exists = false;
+  for (const LevelPeer& p : peers) {
+    if (p.level_limit < s) continue;  // not in N^s
+    if (!p.has_estimate) return false;
+    const double ahead = p.est_minus_own;
+    const double behind = -p.est_minus_own;
+    if (!(behind <= sd * p.kappa + 2.0 * kMu * p.tau + p.eps)) return false;
+    if (ahead >= sd * p.kappa - p.eps) exists = true;
   }
+  return exists;
+}
+
+// Def. 4.6 at level s: some member of N^s is certifiably behind by at least
+// (s+½)κ − δ − ε, and no member is ahead by more than
+// (s+½)κ + δ + ε + µ(1+ρ)τ.
+bool literal_slow(const std::vector<LevelPeer>& peers, int s) {
+  const double sd = static_cast<double>(s);
+  bool exists = false;
+  for (const LevelPeer& p : peers) {
+    if (p.level_limit < s) continue;
+    if (!p.has_estimate) return false;
+    const double ahead = p.est_minus_own;
+    const double behind = -p.est_minus_own;
+    if (!(ahead <= (sd + 0.5) * p.kappa + p.delta + p.eps +
+                       kMu * (1.0 + kRho) * p.tau)) {
+      return false;
+    }
+    if (behind >= (sd + 0.5) * p.kappa - p.delta - p.eps) exists = true;
+  }
+  return exists;
+}
+
+/// The lowest witnessing level of each trigger over s = 1..cap.
+TriggerDecision literal_triggers(const std::vector<LevelPeer>& peers, int cap) {
+  TriggerDecision d;
+  for (int s = 1; s <= cap; ++s) {
+    if (!d.fast && literal_fast(peers, s)) {
+      d.fast = true;
+      d.fast_level = s;
+    }
+    if (!d.slow && literal_slow(peers, s)) {
+      d.slow = true;
+      d.slow_level = s;
+    }
+  }
+  return d;
+}
+
+TEST(Triggers, ScanMatchesLiteralDefinitions) {
   Rng rng(4242);
   AlgoParams ap;
   ap.rho = kRho;
   ap.mu = kMu;
-  for (int iteration = 0; iteration < 2000; ++iteration) {
+  int fired = 0;
+  for (int iteration = 0; iteration < 4000; ++iteration) {
     std::vector<LevelPeer> peers;
     const int count = static_cast<int>(rng.below(7));  // 0 peers included
     for (int i = 0; i < count; ++i) {
@@ -240,27 +294,36 @@ TEST(Triggers, VectorScanMatchesScalarReference) {
       p.eps = ep.eps;
       p.tau = ep.tau;
       p.has_estimate = rng.chance(0.9);
-      // Mostly large discrepancies (deep scans), sometimes values right at
-      // the first-level thresholds where a single ULP of divergence between
-      // the two paths would flip a comparison.
-      p.est_minus_own = rng.chance(0.8)
-                            ? rng.uniform(-25.0, 25.0)
-                            : ec.kappa + rng.uniform(-1e-12, 1e-12);
+      // Mostly large discrepancies (deep scans); otherwise a value within
+      // 1e-12 of κ or of one of the four level-s thresholds, where one ULP
+      // of disagreement flips a comparison.
+      const double s = static_cast<double>(rng.between(1, 9));
+      const double near = rng.uniform(-1e-12, 1e-12);
+      switch (rng.below(8)) {
+        case 0: p.est_minus_own = ec.kappa + near; break;
+        case 1: p.est_minus_own = s * ec.kappa - ep.eps + near; break;
+        case 2: p.est_minus_own = s * ec.kappa + 2.0 * kMu * ep.tau + ep.eps + near; break;
+        case 3: p.est_minus_own = (s + 0.5) * ec.kappa - ec.delta - ep.eps + near; break;
+        case 4:
+          p.est_minus_own =
+              (s + 0.5) * ec.kappa + ec.delta + ep.eps + kMu * (1.0 + kRho) * ep.tau + near;
+          break;
+        default: p.est_minus_own = rng.uniform(-25.0, 25.0); break;
+      }
       if (rng.chance(0.5)) p.est_minus_own = -p.est_minus_own;
       peers.push_back(p);
     }
     const int cap = rng.chance(0.2) ? static_cast<int>(rng.between(1, 4)) : 64;
-    const bool prev = simd::enabled();
-    simd::set_enabled(false);
-    const auto scalar = evaluate_triggers(peers, kMu, kRho, cap);
-    simd::set_enabled(true);
-    const auto vector = evaluate_triggers(peers, kMu, kRho, cap);
-    simd::set_enabled(prev);
-    ASSERT_EQ(scalar.fast, vector.fast) << "iteration " << iteration;
-    ASSERT_EQ(scalar.slow, vector.slow) << "iteration " << iteration;
-    ASSERT_EQ(scalar.fast_level, vector.fast_level) << "iteration " << iteration;
-    ASSERT_EQ(scalar.slow_level, vector.slow_level) << "iteration " << iteration;
+    const TriggerDecision want = literal_triggers(peers, cap);
+    const TriggerDecision got = evaluate_triggers(peers, kMu, kRho, cap);
+    ASSERT_EQ(got.fast, want.fast) << "iteration " << iteration;
+    ASSERT_EQ(got.slow, want.slow) << "iteration " << iteration;
+    ASSERT_EQ(got.fast_level, want.fast_level) << "iteration " << iteration;
+    ASSERT_EQ(got.slow_level, want.slow_level) << "iteration " << iteration;
+    fired += (want.fast || want.slow) ? 1 : 0;
   }
+  // The generator must exercise firing triggers, not only quiet ones.
+  EXPECT_GT(fired, 1000);
 }
 
 }  // namespace
