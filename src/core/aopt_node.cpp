@@ -1,6 +1,8 @@
 #include "core/aopt_node.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/algo_registry.h"
 #include "util/log.h"
@@ -259,17 +261,74 @@ void AoptNode::rebuild_hot(ClockValue own) {
     hot_.push_back(h);
     level_peers_.push_back(lp);
   }
+  dirty_hot_.clear();
   hot_dirty_ = false;
 }
 
-void AoptNode::on_estimate_dirty(NodeId peer) {
+void AoptNode::on_estimate_dirty(NodeId peer, std::uint32_t view_slot) {
   if (hot_dirty_) return;  // the pending rebuild drops every snapshot anyway
-  for (HotPeer& h : hot_) {
-    if (h.id == peer) {
-      h.est_cached = false;
-      return;
+  // hot_ mirrors the view row, so the delivery's slot is normally the
+  // peer's index; it is only a hint, checked by id.
+  std::size_t i = view_slot;
+  if (i >= hot_.size() || hot_[i].id != peer) {
+    i = 0;
+    while (i < hot_.size() && hot_[i].id != peer) ++i;
+    if (i == hot_.size()) return;
+  }
+  HotPeer& h = hot_[i];
+  if (h.est_cached) {  // a stale snapshot is listed once
+    h.est_cached = false;
+    dirty_hot_.push_back(static_cast<std::uint32_t>(i));
+  }
+}
+
+bool AoptNode::beacon_bound_rejects(BeaconEstimateSource& beacon, ClockValue own,
+                                    ClockValue own_hw) {
+  // Only level-(>=1) snapshots are ever cached, so only they turn dirty.
+  for (const std::uint32_t i : dirty_hot_) {
+    HotPeer& h = hot_[i];
+    h.has_entry = beacon.snapshot(api_->id(), h.id, h.entry);
+    h.est_cached = true;
+    if (h.has_entry) bound_.widen(h.entry);
+  }
+  dirty_hot_.clear();
+  const double g = own_hw - own;
+  // No peer with an estimate leaves the interval empty: max_abs is 0.
+  const double span =
+      bound_.c_lo <= bound_.c_hi
+          ? std::max(std::fabs(bound_.c_hi + g), std::fabs(bound_.c_lo + g))
+          : 0.0;
+  // The exact scan's max_abs and our c_i + g round differently: about six
+  // roundings of magnitude at most |base| + |recv_hw| + |H_u| + |L_u| sit
+  // between them, covered here with a 16-ulp allowance.
+  const double slack = 8.0 * std::numeric_limits<double>::epsilon() *
+                       (bound_.mag + std::fabs(own_hw) + std::fabs(own));
+  // The quick-reject expression of evaluate_triggers with max_abs replaced
+  // by a float upper bound: rounding is monotone, so the exact ratio is
+  // no larger than this one.
+  const double ratio =
+      (span + slack + agg_.max_eps + agg_.max_delta) / agg_.kappa_min;
+  return ratio < 1.0 - 1e-9;
+}
+
+void AoptNode::check_filtered_scan(ClockValue own, ClockValue own_hw) {
+  double max_abs = 0.0;
+  for (std::size_t i = 0; i < hot_.size(); ++i) {
+    const HotPeer& h = hot_[i];
+    LevelPeer& lp = level_peers_[i];
+    if (lp.level_limit < 1) continue;
+    require(h.est_cached, "AoptNode: filtered scan read a stale beacon snapshot");
+    lp.has_estimate = h.has_entry;
+    lp.est_minus_own = 0.0;
+    if (h.has_entry) {
+      lp.est_minus_own = h.entry.base + (own_hw - h.entry.recv_hw) - own;
+      max_abs = std::max(max_abs, std::fabs(lp.est_minus_own));
     }
   }
+  const TriggerDecision d = evaluate_triggers(level_peers_.data(), hot_.size(), agg_,
+                                              max_abs, params_.mu, params_.rho,
+                                              params_.level_cap);
+  require(!d.fast && !d.slow, "AoptNode: the beacon bound filtered a firing scan");
 }
 
 void AoptNode::reevaluate() {
@@ -283,7 +342,8 @@ void AoptNode::reevaluate() {
   // logical-clock regression (fault injection), where the piecewise-constant
   // level caching assumption breaks.
   bool agg_stale = false;
-  if (hot_dirty_ || own < last_own_) {
+  const bool rebuild = hot_dirty_ || own < last_own_;
+  if (rebuild) {
     rebuild_hot(own);
     agg_stale = true;
   }
@@ -293,6 +353,20 @@ void AoptNode::reevaluate() {
   BeaconEstimateSource* const beacon = api_->beacon_source();
   const bool decay = params_.insertion == InsertionPolicy::kWeightDecay;
   const ClockValue own_hw = beacon != nullptr ? api_->own_hardware_value() : 0.0;
+  if (beacon != nullptr && !decay && !rebuild && own < bound_.level_next_min &&
+      beacon_bound_rejects(*beacon, own, own_hw)) {
+    ++scan_counts_.filtered;
+    last_decision_ = TriggerDecision{};
+#ifndef NDEBUG
+    check_filtered_scan(own, own_hw);
+#endif
+    select_mode(own);
+    return;
+  }
+
+  ++scan_counts_.exact;
+  bound_ = BeaconBound{};
+  dirty_hot_.clear();  // the staging below refreshes every stale snapshot
   const std::size_t count = hot_.size();
   double max_abs = 0.0;
   for (std::size_t i = 0; i < count; ++i) {
@@ -304,6 +378,7 @@ void AoptNode::reevaluate() {
       lp.level_limit = ls.limit;
       h.level_next = ls.next;
     }
+    bound_.level_next_min = std::min(bound_.level_next_min, h.level_next);
     if (lp.level_limit < 1) {
       // Discovery-set-only edges play no trigger role; their estimate is
       // not read (keeps the oracle RNG stream identical to the full scan).
@@ -324,7 +399,10 @@ void AoptNode::reevaluate() {
         h.est_cached = true;
       }
       have = h.has_entry;
-      if (have) est = h.entry.base + (own_hw - h.entry.recv_hw);
+      if (have) {
+        est = h.entry.base + (own_hw - h.entry.recv_hw);
+        bound_.widen(h.entry);
+      }
     } else {
       const auto opt = api_->neighbor_estimate_present(h.id, lp.eps);
       have = opt.has_value();
@@ -347,6 +425,10 @@ void AoptNode::reevaluate() {
     report_trigger_conflict();
   }
 
+  select_mode(own);
+}
+
+void AoptNode::select_mode(ClockValue own) {
   // Listing 3.
   const double fast_mult = 1.0 + params_.mu;
   double target = api_->rate_multiplier();

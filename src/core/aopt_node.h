@@ -8,6 +8,7 @@
 // the experiments in §5.5: immediate insertion and weight-decay insertion.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -28,7 +29,7 @@ class AoptNode final : public Algorithm {
   void on_edge_discovered(NodeId peer) override;
   void on_edge_lost(NodeId peer) override;
   void on_insert_edge_msg(NodeId from, const InsertEdgeMsg& msg) override;
-  void on_estimate_dirty(NodeId peer) override;
+  void on_estimate_dirty(NodeId peer, std::uint32_t view_slot) override;
   void reevaluate() override;
 
   [[nodiscard]] bool edge_in_level(NodeId peer, int s) const override;
@@ -51,6 +52,13 @@ class AoptNode final : public Algorithm {
   [[nodiscard]] std::optional<PeerInfo> peer_info(NodeId peer) const;
 
   [[nodiscard]] long long mode_switches() const { return mode_switches_; }
+  /// How reevaluate() decided: `filtered` scans were answered by the O(1)
+  /// beacon-estimate bound (see BeaconBound), `exact` ones staged every peer.
+  struct ScanCounts {
+    long long filtered = 0;
+    long long exact = 0;
+  };
+  [[nodiscard]] const ScanCounts& scan_counts() const { return scan_counts_; }
   [[nodiscard]] bool last_fast_trigger() const { return last_decision_.fast; }
   [[nodiscard]] bool last_slow_trigger() const { return last_decision_.slow; }
   [[nodiscard]] const TriggerDecision& last_decision() const { return last_decision_; }
@@ -95,11 +103,15 @@ class AoptNode final : public Algorithm {
   ///     (the engine's dirty-peer notification on beacon consumption);
   ///   - κ and the structural trigger aggregates: constant per edge except
   ///     under weight decay, which downgrades to per-scan recomputation.
-  /// Estimates themselves are still *evaluated* every scan (they move
-  /// continuously with the clocks), but through the inline fast paths
-  /// (NodeApi::peer_true_logical + OracleEstimateSource::perturb, or the
-  /// cached beacon snapshot), reading/drawing exactly what the virtual
-  /// estimate path would.
+  /// Oracle and generic estimates are evaluated every scan (they move
+  /// continuously with the clocks), through the inline fast paths
+  /// (NodeApi::peer_true_logical + OracleEstimateSource::perturb),
+  /// reading/drawing exactly what the virtual estimate path would. Beacon
+  /// estimates usually skip the staging altogether: see BeaconBound.
+  ///
+  /// While !hot_dirty_, hot_ lists exactly the node's view row
+  /// (DynamicGraph::view_neighbors) in the same order, so a delivery's
+  /// view slot indexes it directly (on_estimate_dirty).
   struct HotPeer {
     NodeId id = kNoNode;
     int peer_index = 0;            ///< into peers_ (stable since last rebuild)
@@ -113,6 +125,34 @@ class AoptNode final : public Algorithm {
   struct LevelState {
     int limit = 0;
     double next = kTimeInf;
+  };
+  /// The O(1) filter in front of the beacon-estimate scan. Between two
+  /// beacons from peer i its discrepancy is
+  ///   est_minus_own_i = base_i + (H_u − recv_hw_i) − L_u = c_i + g,
+  /// with a per-peer constant c_i = base_i − recv_hw_i and a term
+  /// g = H_u − L_u shared by every peer. So [c_lo, c_hi] ⊇ {c_i} over the
+  /// level-(>=1) peers with an estimate bounds max_abs by
+  /// max(|c_hi + g|, |c_lo + g|) up to rounding (`mag` scales the
+  /// allowance). The bound is reset tight by every exact scan and widened
+  /// when a dirty peer's snapshot is refreshed. If it proves the quick
+  /// reject of evaluate_triggers, and no level can change (own <
+  /// level_next_min) and no rebuild is pending, the scan's decision is
+  /// empty without staging a peer. Never used with oracle estimates (each
+  /// scan must draw the same perturb stream), weight decay (κ moves with
+  /// time) or RTT/generic estimates; clock regression forces a rebuild and
+  /// so the exact scan.
+  struct BeaconBound {
+    double c_hi = -kTimeInf;
+    double c_lo = kTimeInf;
+    double mag = 0.0;                  ///< max |base_i| + |recv_hw_i|
+    double level_next_min = kTimeInf;  ///< min level_next over hot_
+    void widen(const BeaconEstimateSource::Entry& e) {
+      const double c = e.base - e.recv_hw;
+      c_hi = c > c_hi ? c : c_hi;
+      c_lo = c < c_lo ? c : c_lo;
+      const double m = std::fabs(e.base) + std::fabs(e.recv_hw);
+      mag = m > mag ? m : mag;
+    }
   };
 
   [[nodiscard]] bool is_leader_of(NodeId peer) const { return api_->id() < peer; }
@@ -138,6 +178,16 @@ class AoptNode final : public Algorithm {
   [[nodiscard]] double current_kappa(const Peer& p, ClockValue own_logical) const;
   /// Rebuild hot_/level_peers_ from the present peers (membership changed).
   void rebuild_hot(ClockValue own);
+  /// Refresh the dirty beacon snapshots into bound_, then report whether it
+  /// proves an empty decision (see BeaconBound).
+  [[nodiscard]] bool beacon_bound_rejects(BeaconEstimateSource& beacon,
+                                          ClockValue own, ClockValue own_hw);
+  /// Listing 3: the rate multiplier from last_decision_ and the
+  /// max-estimate condition.
+  void select_mode(ClockValue own);
+  /// Debug soundness check of a filtered scan: stage every peer as the
+  /// exact scan would and require an empty decision.
+  void check_filtered_scan(ClockValue own, ClockValue own_hw);
   /// Lemma 5.3 violation reporting, off the reevaluate hot path (the log
   /// machinery would otherwise bloat its stack frame).
   [[gnu::cold]] [[gnu::noinline]] void report_trigger_conflict();
@@ -148,9 +198,12 @@ class AoptNode final : public Algorithm {
   std::vector<LevelPeer> level_peers_;  ///< parallel to hot_
   TriggerAggregates agg_;            ///< cached structural fold over level_peers_
   bool hot_dirty_ = true;            ///< membership/handshake changed
+  BeaconBound bound_;
+  std::vector<std::uint32_t> dirty_hot_;  ///< hot_ indices whose snapshot went stale
   ClockValue last_own_ = -kTimeInf;  ///< guards against logical-clock regression
   TriggerDecision last_decision_;
   long long mode_switches_ = 0;
+  ScanCounts scan_counts_;
   bool saw_conflict_ = false;
 };
 

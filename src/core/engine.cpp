@@ -534,7 +534,7 @@ void Engine::on_delivery(const Delivery& d) {
       estimates_.on_beacon(d);
       // Dirty-peer notification: the discrete estimate state for (to, from)
       // just changed; incremental scans drop their cached snapshot of it.
-      node(d.to).algo->on_estimate_dirty(d.from);
+      node(d.to).algo->on_estimate_dirty(d.from, d.view_slot);
       dirty = true;
     }
     // Max-estimate flooding (Condition 4.3): the receiver may add the
@@ -562,7 +562,7 @@ void Engine::on_delivery(const Delivery& d) {
     transport_.send(d.to, d.from, TimeResponse{req->id, req->sender_hw, logical(d.to)});
   } else if (const auto* resp = std::get_if<TimeResponse>(d.payload)) {
     estimates_.on_time_response(d, *resp);
-    node(d.to).algo->on_estimate_dirty(d.from);
+    node(d.to).algo->on_estimate_dirty(d.from, d.view_slot);
     dirty = true;
   }
   if (!config_.coalesce_instants) {

@@ -122,7 +122,10 @@ class Algorithm {
   /// The *discrete* state behind `peer`'s estimate changed (a beacon from
   /// `peer` was consumed by the estimate layer). Incremental algorithms use
   /// this to invalidate cached estimate snapshots; a reevaluate() follows.
-  virtual void on_estimate_dirty(NodeId peer) { (void)peer; }
+  /// `view_slot` is the delivery's position hint (Delivery::view_slot).
+  virtual void on_estimate_dirty(NodeId peer, std::uint32_t view_slot) {
+    (void)peer, (void)view_slot;
+  }
 
   /// Re-decide the mode (rate multiplier). Called after every event
   /// affecting this node and on every tick.

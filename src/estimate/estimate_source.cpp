@@ -75,7 +75,7 @@ void BeaconEstimateSource::on_beacon(const Delivery& d) {
   Entry entry;
   entry.base = beacon->logical + (1.0 - rho_) * d.known_min_delay;
   entry.recv_hw = clocks_->true_hardware(d.to);
-  entries_.find_or_insert(d.to, d.from) = entry;
+  entries_.find_or_insert(d.to, d.from, d.view_slot) = entry;
 }
 
 void BeaconEstimateSource::on_edge_lost(NodeId u, NodeId peer) {

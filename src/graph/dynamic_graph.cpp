@@ -127,8 +127,9 @@ void DynamicGraph::set_view(const EdgeKey& e, Record& rec, NodeId endpoint,
 
 const NeighborView* DynamicGraph::find_neighbor(NodeId u, NodeId peer) const {
   if (u < 0 || u >= n_) return nullptr;
-  // Linear scan over the sorted view: typical degrees are single-digit, so
-  // this beats a binary search (fewer mispredicted branches).
+  // Linear scan over the sorted view. Degrees range from 2 (lines, rings)
+  // to ~30 (the dense geometric graphs of churn sweeps); a delivery pays it
+  // once and passes the index on (Delivery::view_slot).
   for (const NeighborView& nv : adjacency_[static_cast<std::size_t>(u)]) {
     if (nv.id >= peer) return nv.id == peer ? &nv : nullptr;
   }

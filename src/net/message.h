@@ -54,6 +54,9 @@ struct LivenessPing {
 using Payload =
     std::variant<Beacon, InsertEdgeMsg, TimeRequest, TimeResponse, LivenessPing>;
 
+/// Delivery::view_slot when the sender's position is not known.
+inline constexpr std::uint32_t kNoViewSlot = 0xFFFFFFFFu;
+
 /// A message delivered to a node. Zero-copy: `payload` points into the
 /// transport's message arena (net/arena.h) and is valid only for the
 /// duration of the on_delivery call — consumers that keep a message must
@@ -61,6 +64,11 @@ using Payload =
 struct Delivery {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
+  /// Index of `from` in the receiver's view row (DynamicGraph::view_neighbors)
+  /// when the transport checked it at delivery. Per-peer state kept in rows
+  /// parallel to that one resolves the sender in O(1); it is a hint, which
+  /// consumers check by id and fall back to a scan on a miss.
+  std::uint32_t view_slot = kNoViewSlot;
   Time sent_at = 0.0;
   Time delivered_at = 0.0;
   /// Receiver-known lower bound on the transit time (edge msg_delay_min):

@@ -176,6 +176,8 @@ void Transport::dispatch(const SimEvent& ev) {
     Delivery d;
     d.from = ev.from;
     d.to = ev.node;
+    d.view_slot =
+        static_cast<std::uint32_t>(back - graph_.view_neighbors(ev.node).data());
     d.sent_at = ev.sent_at;
     d.delivered_at = sim_.now();
     // Edge params are immutable after creation, so the receiver-known

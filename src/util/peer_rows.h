@@ -49,6 +49,17 @@ class PeerRows {
     return it->value;
   }
 
+  /// find_or_insert with a position hint: rows kept parallel to another
+  /// sorted row (a node's view) usually hold `peer` at that row's index.
+  /// The hint is checked, so any value is safe; a miss scans.
+  T& find_or_insert(NodeId owner, Key peer, std::size_t hint) {
+    const auto o = static_cast<std::size_t>(owner);
+    if (o < rows_.size() && hint < rows_[o].size() && rows_[o][hint].peer == peer) {
+      return rows_[o][hint].value;
+    }
+    return find_or_insert(owner, peer);
+  }
+
   /// Remove (owner, peer); false if it was absent.
   bool erase(NodeId owner, Key peer) {
     const auto o = static_cast<std::size_t>(owner);

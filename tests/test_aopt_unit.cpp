@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 
+#include "metrics/fingerprint.h"
 #include "runner/scenario.h"
 
 namespace gcs {
@@ -218,6 +221,157 @@ TEST(AoptUnit, SingleNodeDegenerateCase) {
   s.run_until(100.0);
   EXPECT_NEAR(s.engine().logical(0), 100.0, 0.2);
   EXPECT_DOUBLE_EQ(s.engine().true_global_skew(), 0.0);
+}
+
+// --------------------------------------------------- beacon-scan trajectory pins
+//
+// Beacon-estimate runs through every case in which AoptNode's O(1) scan
+// filter must step aside for the exact scan: fast/slow triggers firing after
+// a clock corruption, staged insertion crossing level thresholds, weight
+// decay (time-varying κ), and a node's own logical clock moving backwards.
+// The pinned values were recorded from the implementation that staged every
+// peer on every scan, so a filter that changes any decision changes a pin.
+
+struct ScanPin {
+  std::uint64_t hash = 0;
+  std::uint64_t events = 0;
+  long long switches = 0;  ///< mode switches summed over all nodes
+  bool operator==(const ScanPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ScanPin& p) {
+  return os << "{0x" << std::hex << p.hash << std::dec << "ULL, " << p.events << ", "
+            << p.switches << "}";
+}
+
+ScenarioSpec beacon_spec(const std::string& topo, int n, std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.n = n;
+  spec.seed = seed;
+  spec.set("topo", topo);
+  spec.set("estimates", "beacon");
+  spec.set("drift", "spread");
+  return spec;
+}
+
+/// Run `spec` to `horizon`, applying `fault` once at `fault_at` (if set).
+ScanPin pin_run(const ScenarioSpec& spec, double horizon,
+                const std::function<void(Scenario&)>& fault = {},
+                double fault_at = 0.0) {
+  Scenario s(spec);
+  TrajectoryFingerprinter fp;
+  fp.attach(s);
+  s.start();
+  if (fault) {
+    s.run_until(fault_at);
+    fault(s);
+  }
+  s.run_until(horizon);
+  ScanPin pin{fp.value(), fp.events(), 0};
+  for (NodeId u = 0; u < s.spec().n; ++u) pin.switches += s.aopt(u).mode_switches();
+  return pin;
+}
+
+/// Push node 3 ahead and node 8 behind by several κ: their neighbours'
+/// fast and slow triggers fire on beacon estimates.
+void corrupt_two(Scenario& s) {
+  const double kappa = s.aopt(3).edge_kappa(4);
+  s.engine().corrupt_logical(3, s.engine().logical(3) + 4.0 * kappa);
+  s.engine().corrupt_logical(8, s.engine().logical(8) - 3.0 * kappa);
+}
+
+TEST(BeaconScanPins, TriggersFiringAfterCorruption) {
+  const ScenarioSpec spec = beacon_spec("ring", 12, 41);
+  EXPECT_EQ(pin_run(spec, 30.0, corrupt_two, 10.0),
+            (ScanPin{0xdb6cc7118ab87193ULL, 5731, 11}));
+}
+
+TEST(BeaconScanPins, StagedInsertionUnderChurn) {
+  ScenarioSpec spec = beacon_spec("geometric:radius=0.35", 32, 42);
+  spec.set("adversary", "churn:rate=0.6,start=2");
+  spec.set("gtilde", 0.1);  // I ≈ 48: insertions start and progress by t=60
+  EXPECT_EQ(pin_run(spec, 60.0), (ScanPin{0x09452a723efce6bdULL, 100726, 888}));
+}
+
+TEST(BeaconScanPins, WeightDecayUnderChurn) {
+  ScenarioSpec spec = beacon_spec("geometric:radius=0.35", 32, 43);
+  spec.set("adversary", "churn:rate=0.6,start=2");
+  spec.set("gtilde", 0.1);
+  spec.set("insertion", "decay");
+  EXPECT_EQ(pin_run(spec, 60.0), (ScanPin{0x42b73f6035e9fdb8ULL, 69039, 680}));
+}
+
+TEST(BeaconScanPins, OwnClockRegression) {
+  const ScenarioSpec spec = beacon_spec("grid:rows=3,cols=4", 12, 44);
+  auto rewind = [](Scenario& s) {
+    for (NodeId u : {1, 6, 10}) {
+      s.engine().corrupt_logical(u, s.engine().logical(u) - 0.05 * (u + 1));
+    }
+  };
+  EXPECT_EQ(pin_run(spec, 30.0, rewind, 12.0),
+            (ScanPin{0xcfd0311bd09d2340ULL, 6957, 60}));
+}
+
+// ------------------------------------------------------------ scan counters
+
+AoptNode::ScanCounts total_scans(Scenario& s) {
+  AoptNode::ScanCounts sum;
+  for (NodeId u = 0; u < s.spec().n; ++u) {
+    sum.filtered += s.aopt(u).scan_counts().filtered;
+    sum.exact += s.aopt(u).scan_counts().exact;
+  }
+  return sum;
+}
+
+ScenarioSpec beacon_churn_spec() {
+  ScenarioSpec spec = beacon_spec("geometric:radius=0.15", 64, 45);
+  spec.set("adversary", "churn:rate=0.5,start=5");
+  spec.set("gskew", "distributed");
+  return spec;
+}
+
+TEST(ScanCounts, BeaconChurnScansAreMostlyFiltered) {
+  Scenario s(beacon_churn_spec());
+  s.start();
+  s.run_until(20.0);
+  const AoptNode::ScanCounts c = total_scans(s);
+  EXPECT_GT(c.exact, 0);
+  EXPECT_GT(c.filtered, 9 * c.exact)  // > 90 % filtered
+      << "filtered " << c.filtered << ", exact " << c.exact;
+}
+
+TEST(ScanCounts, FiringTriggersTakeTheExactScan) {
+  Scenario s(beacon_spec("ring", 12, 41));
+  s.start();
+  s.run_until(10.0);
+  const long long before = s.aopt(2).scan_counts().exact;
+  corrupt_two(s);
+  s.run_for(1.0);
+  EXPECT_TRUE(s.aopt(2).last_fast_trigger());  // node 3 is far ahead
+  EXPECT_TRUE(s.aopt(3).last_slow_trigger());  // its neighbours are far behind
+  EXPECT_GT(s.aopt(2).scan_counts().exact, before);
+}
+
+TEST(ScanCounts, NothingFilteredUnderOracleEstimates) {
+  ScenarioSpec spec = beacon_churn_spec();
+  spec.set("estimates", "uniform");
+  Scenario s(spec);
+  s.start();
+  s.run_until(20.0);
+  const AoptNode::ScanCounts c = total_scans(s);
+  EXPECT_EQ(c.filtered, 0);
+  EXPECT_GT(c.exact, 0);
+}
+
+TEST(ScanCounts, NothingFilteredUnderWeightDecay) {
+  ScenarioSpec spec = beacon_churn_spec();
+  spec.set("insertion", "decay");
+  Scenario s(spec);
+  s.start();
+  s.run_until(20.0);
+  const AoptNode::ScanCounts c = total_scans(s);
+  EXPECT_EQ(c.filtered, 0);
+  EXPECT_GT(c.exact, 0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "estimate/estimate_source.h"
 #include "graph/dynamic_graph.h"
 #include "net/transport.h"
 #include "sim/simulator.h"
@@ -181,6 +182,85 @@ TEST(Transport, PayloadVariantsRoundTrip) {
   }
   EXPECT_EQ(beacons, 1);
   EXPECT_EQ(inserts, 1);
+}
+
+// A delivery carries the sender's slot in the receiver's view row, and the
+// estimate layer uses it only as a hint into its own row. Change node 2's
+// view between send and delivery — lower-id peers appear, the sender is
+// lost and rediscovered — and check every decision and stored entry
+// against the §3.1 rule and a source that always scans.
+TEST(Transport, ViewSlotHintMatchesTheScan) {
+  struct HwClocks final : ClockAccess {
+    ClockValue true_logical(NodeId) override { return 0.0; }
+    ClockValue true_hardware(NodeId u) override { return 100.0 * (u + 1); }
+  } clocks;
+  Fixture f;  // edges 0-1, 1-2; node 2 sees [1]
+  f.transport.set_delay_mode(DelayMode::kMax);  // 0.5 transit
+  BeaconEstimateSource hinted(f.graph, 0.25, 1e-3, 0.1);
+  BeaconEstimateSource scanned(f.graph, 0.25, 1e-3, 0.1);
+  hinted.bind(&clocks);
+  scanned.bind(&clocks);
+  int delivered = 0;
+  f.transport.set_handler([&](const Delivery& d) {
+    const NeighborView* back = f.graph.find_neighbor(d.to, d.from);
+    ASSERT_NE(back, nullptr);
+    EXPECT_LE(back->since, d.sent_at);
+    EXPECT_EQ(d.view_slot, back - f.graph.view_neighbors(d.to).data());
+    ++delivered;
+    hinted.on_beacon(d);
+    Delivery plain = d;
+    plain.view_slot = kNoViewSlot;
+    scanned.on_beacon(plain);
+  });
+  EdgeParams p;
+  p.eps = 0.1;
+  p.tau = 0.2;
+  p.msg_delay_min = 0.1;
+  p.msg_delay_max = 0.5;
+  auto beacon = [&](NodeId from, double value) {
+    EXPECT_TRUE(f.transport.send(from, 2, Beacon{value, value, value}));
+  };
+  auto lose = [&](NodeId peer) {  // what the engine does on a view loss
+    f.graph.destroy_edge_instant(EdgeKey(peer, 2));
+    hinted.on_edge_lost(2, peer);
+    scanned.on_edge_lost(2, peer);
+  };
+
+  beacon(1, 1.0);  // entries [1]
+  f.sim.run_until(0.6);
+  f.graph.create_edge_instant(EdgeKey(2, 3), p);  // view [1, 3]
+  beacon(3, 2.0);  // entries [1, 3]
+  f.sim.run_until(1.2);
+  beacon(1, 3.0);
+  f.graph.create_edge_instant(EdgeKey(0, 2), p);  // view [0, 1, 3]: slot 1 holds 3
+  f.sim.run_until(1.8);
+  beacon(3, 4.0);  // view slot 2, entries index 1
+  beacon(1, 5.0);
+  f.sim.run_until(1.9);
+  lose(1);
+  f.graph.create_edge_instant(EdgeKey(1, 2), p);  // since 1.9 > sent_at 1.8
+  f.sim.run_until(2.4);
+  beacon(0, 6.0);  // view [0, 1, 3], entries [3]: a new lowest entry
+  beacon(1, 7.0);
+  f.sim.run_until(3.0);
+  beacon(3, 8.0);  // rows agree again: the hint hits
+  f.sim.run();
+
+  EXPECT_EQ(delivered, 7);
+  EXPECT_EQ(f.transport.dropped_count(), 1u);  // the beacon in flight across the loss
+  for (NodeId peer = 0; peer < 4; ++peer) {
+    BeaconEstimateSource::Entry a;
+    BeaconEstimateSource::Entry b;
+    const bool has_a = hinted.snapshot(2, peer, a);
+    ASSERT_EQ(has_a, scanned.snapshot(2, peer, b)) << "peer " << peer;
+    if (has_a) {
+      EXPECT_EQ(a.base, b.base) << "peer " << peer;
+      EXPECT_EQ(a.recv_hw, b.recv_hw) << "peer " << peer;
+    }
+  }
+  BeaconEstimateSource::Entry e;
+  ASSERT_TRUE(hinted.snapshot(2, 1, e));
+  EXPECT_DOUBLE_EQ(e.base, 7.0 + (1.0 - 1e-3) * 0.1);  // the post-rediscovery beacon
 }
 
 }  // namespace
